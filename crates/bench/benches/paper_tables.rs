@@ -18,10 +18,15 @@
 //! NBHD_SCALE=smoke cargo bench -p nbhd-bench --bench paper_tables
 //! NBHD_SCALE=full  cargo bench -p nbhd-bench --bench paper_tables
 //! ```
+//!
+//! The run artifact goes to `NBHD_ARTIFACT`, or by default to
+//! `target/BENCH_paper_tables.json` at the workspace root. The harness
+//! exits nonzero when it cannot write it.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use nbhd_bench::paper_tables_artifact_path;
 use nbhd_core::eval::{render_exec_table, render_run_summary, ExecRow};
 use nbhd_core::exec::{ExecSnapshot, ScopedPool};
 use nbhd_core::obs::{Obs, RunArtifact};
@@ -225,12 +230,15 @@ fn main() {
     // Flight-recorder artifact: the run's deterministic surface (spans,
     // counters, histograms), diffable against a committed baseline via
     // the `run_diff` bin — see scripts/check.sh.
-    let artifact_path = std::env::var("NBHD_ARTIFACT")
-        .unwrap_or_else(|_| "target/BENCH_paper_tables.json".to_owned());
+    let artifact_path = paper_tables_artifact_path(std::env::var_os("NBHD_ARTIFACT"));
     let artifact = RunArtifact::from_obs("paper_tables", &obs);
-    match artifact.write_file(std::path::Path::new(&artifact_path)) {
-        Ok(()) => println!("# run artifact written to {artifact_path}"),
-        Err(err) => println!("# run artifact FAILED ({artifact_path}): {err}"),
+    let written = artifact.write_file(&artifact_path);
+    match &written {
+        Ok(()) => println!("# run artifact written to {}", artifact_path.display()),
+        Err(err) => eprintln!("# run artifact FAILED ({}): {err}", artifact_path.display()),
     }
     println!("# total wall-clock {:.1}s", t0.elapsed().as_secs_f64());
+    if written.is_err() {
+        std::process::exit(1);
+    }
 }

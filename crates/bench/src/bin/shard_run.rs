@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use nbhd_core::eval::render_html_report;
 use nbhd_core::exec::Parallelism;
-use nbhd_core::gsv::PoisonSchedule;
+use nbhd_core::gsv::{quiet_injected_panics, PoisonSchedule};
 use nbhd_core::journal::{CheckpointStore, Journal, RunManifest};
 use nbhd_core::obs::RunArtifact;
 use nbhd_core::{
@@ -302,6 +302,8 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    // poisoned locations panic on purpose; the supervisor quarantines them
+    quiet_injected_panics();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         eprintln!("{USAGE}");

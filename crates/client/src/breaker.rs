@@ -487,7 +487,7 @@ mod tests {
         );
         let request = ModelRequest {
             context: ImageContext::from_scene(&spec, 1),
-            prompt: Prompt::build(Language::English, PromptMode::Parallel),
+            prompt: Arc::new(Prompt::build(Language::English, PromptMode::Parallel)),
             params: SamplerParams::default(),
         };
         for _ in 0..20 {

@@ -62,6 +62,10 @@ impl ModelUsage {
 
 /// Thread-safe usage ledger keyed by model name.
 ///
+/// A record takes the ledger lock (and, for a success, the histogram
+/// lock) once, and finds its model by `&str`; only a model's first record
+/// allocates its key.
+///
 /// ```
 /// use nbhd_client::CostMeter;
 /// let meter = CostMeter::new();
@@ -92,6 +96,16 @@ struct ModelHists {
     output_tokens: Histogram,
 }
 
+/// The entry for `model`, created on its first record. The model name is
+/// copied into the map only then: every later record looks it up by
+/// `&str` and allocates nothing.
+fn slot<'a, T: Default>(map: &'a mut BTreeMap<String, T>, model: &str) -> &'a mut T {
+    if !map.contains_key(model) {
+        map.insert(model.to_owned(), T::default());
+    }
+    map.get_mut(model).expect("inserted above")
+}
+
 impl CostMeter {
     /// An empty meter.
     pub fn new() -> CostMeter {
@@ -112,7 +126,7 @@ impl CostMeter {
     ) {
         {
             let mut ledger = self.ledger.lock();
-            let u = ledger.entry(model.to_owned()).or_default();
+            let u = slot(&mut ledger, model);
             u.requests += 1;
             u.retries += u64::from(attempts.saturating_sub(1));
             u.input_tokens += input_tokens;
@@ -126,7 +140,7 @@ impl CostMeter {
             u.latency_ms += latency_ms;
         }
         let mut hists = self.hists.lock();
-        let h = hists.entry(model.to_owned()).or_default();
+        let h = slot(&mut hists, model);
         h.latency_ms.record(latency_ms.round().max(0.0) as u64);
         h.input_tokens.record(input_tokens);
         h.output_tokens.record(output_tokens);
@@ -141,7 +155,7 @@ impl CostMeter {
     /// Records a request that exhausted its retries.
     pub fn record_failure(&self, model: &str, attempts: u32) {
         let mut ledger = self.ledger.lock();
-        let u = ledger.entry(model.to_owned()).or_default();
+        let u = slot(&mut ledger, model);
         u.failures += 1;
         u.retries += u64::from(attempts.saturating_sub(1));
     }
@@ -150,7 +164,7 @@ impl CostMeter {
     /// Counts as a failure, but burns no retries and no server time.
     pub fn record_fail_fast(&self, model: &str) {
         let mut ledger = self.ledger.lock();
-        let u = ledger.entry(model.to_owned()).or_default();
+        let u = slot(&mut ledger, model);
         u.failures += 1;
         u.fail_fast += 1;
     }
@@ -169,7 +183,7 @@ impl CostMeter {
             return;
         }
         let mut ledger = self.ledger.lock();
-        let u = ledger.entry(model.to_owned()).or_default();
+        let u = slot(&mut ledger, model);
         u.hedges_fired += u64::from(hedges_fired);
         u.hedges_won += u64::from(hedges_won);
         u.backoff_ms += backoff_ms;

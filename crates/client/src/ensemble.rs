@@ -9,7 +9,7 @@ use std::sync::Arc;
 use nbhd_eval::{quorum_vote, QuorumPolicy, VoteProvenance};
 use nbhd_journal::CheckpointStore;
 use nbhd_obs::Obs;
-use nbhd_prompt::{parse_response, Prompt};
+use nbhd_prompt::Prompt;
 use nbhd_types::rng::child_seed_n;
 use nbhd_types::{Error, IndicatorSet, Result};
 use nbhd_vlm::{ImageContext, ModelProfile, SamplerParams, VisionModel};
@@ -395,6 +395,7 @@ impl Ensemble {
     ) -> Result<EnsembleOutcome> {
         let mut per_model = BTreeMap::new();
         let mut voter_answers: Vec<Vec<Option<IndicatorSet>>> = Vec::new();
+        let shared_prompt = Arc::new(prompt.clone());
         for member in &self.members {
             let vote_stage = self
                 .obs
@@ -421,7 +422,7 @@ impl Ensemble {
                 .filter(|(_, record)| record.is_none())
                 .map(|(ctx, _)| ModelRequest {
                     context: ctx.clone(),
-                    prompt: prompt.clone(),
+                    prompt: Arc::clone(&shared_prompt),
                     params: *params,
                 })
                 .collect();
@@ -463,22 +464,9 @@ impl Ensemble {
                     .expect("one executor result per pending context");
                 match result {
                     Ok(response) => {
-                        let mut answers = Vec::with_capacity(6);
-                        let mut complete = true;
-                        for (text, message) in response.texts.iter().zip(&prompt.messages) {
-                            let parsed =
-                                parse_response(text, prompt.language, message.questions.len());
-                            complete &= parsed.is_complete();
-                            answers.extend(parsed.answers);
-                        }
+                        let (set, complete) = prompt.read_presence(&response.texts);
                         if !complete {
                             parse_failures += 1;
-                        }
-                        let mut set = IndicatorSet::new();
-                        for (ind, ans) in prompt.question_order().iter().zip(answers) {
-                            if ans == Some(true) {
-                                set.insert(*ind);
-                            }
                         }
                         if let Some(store) = &self.checkpoint {
                             // save-before-act: the vote is durable before it

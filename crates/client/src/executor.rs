@@ -213,7 +213,7 @@ mod tests {
                 );
                 ModelRequest {
                     context: ImageContext::from_scene(&spec, 5),
-                    prompt: Prompt::build(Language::English, PromptMode::Parallel),
+                    prompt: Arc::new(Prompt::build(Language::English, PromptMode::Parallel)),
                     params: SamplerParams::default(),
                 }
             })

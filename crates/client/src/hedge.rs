@@ -143,6 +143,7 @@ fn completion_ms(result: &Result<ModelResponse, TransportError>, policy: &RetryP
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     /// A scripted transport with per-call latencies and failures.
     struct Scripted {
@@ -181,7 +182,7 @@ mod tests {
         );
         ModelRequest {
             context: nbhd_vlm::ImageContext::from_scene(&spec, 5),
-            prompt: Prompt::build(Language::English, PromptMode::Parallel),
+            prompt: Arc::new(Prompt::build(Language::English, PromptMode::Parallel)),
             params: nbhd_vlm::SamplerParams::default(),
         }
     }

@@ -261,7 +261,7 @@ mod tests {
         );
         ModelRequest {
             context: nbhd_vlm::ImageContext::from_scene(&spec, 5),
-            prompt: Prompt::build(Language::English, PromptMode::Parallel),
+            prompt: Arc::new(Prompt::build(Language::English, PromptMode::Parallel)),
             params: nbhd_vlm::SamplerParams::default(),
         }
     }

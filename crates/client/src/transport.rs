@@ -1,6 +1,7 @@
 //! The model-API transport abstraction and its simulated implementation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use nbhd_prompt::Prompt;
 use nbhd_types::rng::{child_seed_n, rng_from};
@@ -13,8 +14,9 @@ use rand::Rng;
 pub struct ModelRequest {
     /// The image being asked about.
     pub context: ImageContext,
-    /// The prompt plan (parallel or sequential, any language).
-    pub prompt: Prompt,
+    /// The prompt plan (parallel or sequential, any language), shared by
+    /// every request of a batch.
+    pub prompt: Arc<Prompt>,
     /// Sampler parameters.
     pub params: SamplerParams,
 }
@@ -231,7 +233,7 @@ mod tests {
         );
         ModelRequest {
             context: ImageContext::from_scene(&spec, 5),
-            prompt: Prompt::build(Language::English, PromptMode::Parallel),
+            prompt: Arc::new(Prompt::build(Language::English, PromptMode::Parallel)),
             params: SamplerParams::default(),
         }
     }

@@ -34,7 +34,7 @@ mod usage;
 /// The study's capture resolution.
 pub const DEFAULT_IMAGE_SIZE: u32 = 640;
 
-pub use poison::{PoisonKind, PoisonSchedule};
+pub use poison::{quiet_injected_panics, PoisonKind, PoisonSchedule};
 pub use request::{ImageRequest, ImageRequestBuilder};
 pub use service::{
     Capture, CoverageStatus, ImageResponse, StreetViewService, FEE_PER_IMAGE_USD, FEE_RECORD_KIND,

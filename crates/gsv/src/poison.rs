@@ -20,6 +20,8 @@
 //! assert!(a.is_none() || a == Some(PoisonKind::Panic));
 //! ```
 
+use std::any::Any;
+
 use nbhd_types::rng::{child_seed_n, splitmix64};
 use nbhd_types::LocationId;
 use serde::{Deserialize, Serialize};
@@ -112,8 +114,35 @@ impl PoisonSchedule {
     /// The deterministic panic message for a poisoned location, so
     /// quarantine causes are stable strings across runs.
     pub fn panic_message(location: LocationId) -> String {
-        format!("injected poison at location {}", location.0)
+        format!("{INJECTED_PANIC_PREFIX}{}", location.0)
     }
+
+    /// Whether a panic payload is one a poison schedule injected, i.e. a
+    /// [`PoisonSchedule::panic_message`].
+    pub fn is_injected_panic(payload: &(dyn Any + Send)) -> bool {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .is_some_and(|message| message.starts_with(INJECTED_PANIC_PREFIX))
+    }
+}
+
+/// The start of every [`PoisonSchedule::panic_message`].
+const INJECTED_PANIC_PREFIX: &str = "injected poison at location ";
+
+/// Installs a panic hook that prints nothing for injected poison panics
+/// ([`PoisonSchedule::is_injected_panic`]) and passes every other panic to
+/// the hook installed before it. Drills that inject panics on purpose call
+/// it first, so their logs carry no message or backtrace per poisoned
+/// capture; the supervisor still catches, retries and quarantines each one.
+pub fn quiet_injected_panics() {
+    let fallback = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !PoisonSchedule::is_injected_panic(info.payload()) {
+            fallback(info);
+        }
+    }));
 }
 
 /// A uniform draw in `[0, 1)` keyed by `(seed, stream, location)`, using the
@@ -126,6 +155,25 @@ fn unit_frac(seed: u64, stream: &str, location: LocationId) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn injected_panics_are_told_from_other_panics() {
+        let injected = PoisonSchedule::panic_message(LocationId(42));
+        assert!(PoisonSchedule::is_injected_panic(&injected));
+        assert!(PoisonSchedule::is_injected_panic(
+            &"injected poison at location 7"
+        ));
+        for other in ["index out of bounds", "poison at location 7", ""] {
+            assert!(!PoisonSchedule::is_injected_panic(&other));
+            assert!(!PoisonSchedule::is_injected_panic(&other.to_owned()));
+        }
+        assert!(!PoisonSchedule::is_injected_panic(&42u64));
+        // the payload of a real injected panic
+        let payload =
+            std::panic::catch_unwind(|| panic!("{}", PoisonSchedule::panic_message(LocationId(3))))
+                .unwrap_err();
+        assert!(PoisonSchedule::is_injected_panic(payload.as_ref()));
+    }
 
     #[test]
     fn rates_partition_locations() {

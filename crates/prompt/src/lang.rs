@@ -107,6 +107,16 @@ mod tests {
     }
 
     #[test]
+    fn lexicon_words_are_lowercase() {
+        // the parser lowercases tokens, so only lowercase words can match
+        for lang in Language::ALL {
+            for word in lang.yes_tokens().iter().chain(lang.no_tokens()) {
+                assert_eq!(word.to_lowercase(), *word, "{lang}");
+            }
+        }
+    }
+
+    #[test]
     fn canonical_words_parse_as_themselves() {
         for lang in Language::ALL {
             let yes = lang.yes_word().to_lowercase();

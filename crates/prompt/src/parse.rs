@@ -64,16 +64,22 @@ impl ParsedAnswers {
 /// );
 /// ```
 pub fn parse_response(text: &str, language: Language, expected: usize) -> ParsedAnswers {
-    let mut found: Vec<bool> = Vec::new();
+    let mut answers: Vec<Option<bool>> = Vec::with_capacity(expected);
+    let mut extra_tokens = 0usize;
     for token in tokenize(text) {
-        if is_yes(&token, language) {
-            found.push(true);
-        } else if is_no(&token, language) {
-            found.push(false);
+        let answer = if is_one_of(token, language.yes_tokens()) {
+            true
+        } else if is_one_of(token, language.no_tokens()) {
+            false
+        } else {
+            continue;
+        };
+        if answers.len() < expected {
+            answers.push(Some(answer));
+        } else {
+            extra_tokens += 1;
         }
     }
-    let extra_tokens = found.len().saturating_sub(expected);
-    let mut answers: Vec<Option<bool>> = found.into_iter().take(expected).map(Some).collect();
     let failures = expected - answers.len();
     answers.resize(expected, None);
     ParsedAnswers {
@@ -83,8 +89,8 @@ pub fn parse_response(text: &str, language: Language, expected: usize) -> Parsed
     }
 }
 
-/// Splits on whitespace and punctuation, lowercasing ASCII.
-fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
+/// Splits on whitespace and punctuation.
+fn tokenize(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| {
         c.is_whitespace()
             || matches!(
@@ -111,15 +117,22 @@ fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
             )
     })
     .filter(|t| !t.is_empty())
-    .map(|t| t.to_lowercase())
 }
 
-fn is_yes(token: &str, language: Language) -> bool {
-    language.yes_tokens().contains(&token)
-}
-
-fn is_no(token: &str, language: Language) -> bool {
-    language.no_tokens().contains(&token)
+/// Whether the token, lowercased, is one of the lexicon words (which are
+/// lowercase). Nothing is allocated: an ASCII token is compared ignoring
+/// ASCII case, any other is lowercased char by char as it is compared.
+/// Both agree with comparing `token.to_lowercase()`, whose one
+/// context-dependent rule, the final sigma, yields a letter no lexicon
+/// word contains.
+fn is_one_of(token: &str, lexicon: &[&str]) -> bool {
+    if token.is_ascii() {
+        lexicon.iter().any(|word| token.eq_ignore_ascii_case(word))
+    } else {
+        lexicon
+            .iter()
+            .any(|word| token.chars().flat_map(char::to_lowercase).eq(word.chars()))
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Prompt construction: parallel (one combined request) vs. sequential
 //! (one question per follow-up request).
 
-use nbhd_types::Indicator;
+use nbhd_types::{Indicator, IndicatorSet};
 use serde::{Deserialize, Serialize};
 
-use crate::{format_instruction, question_text, Language, PROMPT_ORDER};
+use crate::{format_instruction, parse_response, question_text, Language, PROMPT_ORDER};
 
 /// How the six questions are packaged into requests.
 ///
@@ -95,6 +95,35 @@ impl Prompt {
             .iter()
             .flat_map(|m| m.questions.iter().copied())
             .collect()
+    }
+
+    /// Reads one response (a text per message) into a presence set, and
+    /// whether every question got a parseable answer. Unparseable answers
+    /// count as absent, as in [`crate::ParsedAnswers::to_presence`].
+    ///
+    /// ```
+    /// use nbhd_prompt::{Language, Prompt, PromptMode};
+    /// use nbhd_types::Indicator;
+    ///
+    /// let prompt = Prompt::build(Language::English, PromptMode::Parallel);
+    /// let (set, complete) = prompt.read_presence(&["Yes, No, No, No, No, maybe"]);
+    /// assert!(set.contains(Indicator::MultilaneRoad));
+    /// assert_eq!(set.len(), 1);
+    /// assert!(!complete);
+    /// ```
+    pub fn read_presence(&self, texts: &[impl AsRef<str>]) -> (IndicatorSet, bool) {
+        let mut set = IndicatorSet::new();
+        let mut complete = true;
+        for (text, message) in texts.iter().zip(&self.messages) {
+            let parsed = parse_response(text.as_ref(), self.language, message.questions.len());
+            complete &= parsed.is_complete();
+            for (&ind, answer) in message.questions.iter().zip(&parsed.answers) {
+                if *answer == Some(true) {
+                    set.insert(ind);
+                }
+            }
+        }
+        (set, complete)
     }
 }
 

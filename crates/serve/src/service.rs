@@ -34,7 +34,7 @@ use nbhd_client::{
 use nbhd_eval::{quorum_vote, QuorumPolicy, VoteFallback};
 use nbhd_journal::CheckpointStore;
 use nbhd_obs::{MetricsRegistry, MetricsSnapshot, Obs, RunArtifact, ARTIFACT_SCHEMA_VERSION};
-use nbhd_prompt::{parse_response, Language, Prompt, PromptMode};
+use nbhd_prompt::{Language, Prompt, PromptMode};
 use nbhd_types::rng::child_seed_n;
 use nbhd_types::{Error, IndicatorSet, Result};
 use nbhd_vlm::{
@@ -324,7 +324,7 @@ pub struct SurveyService {
     scratch: Arc<VirtualClock>,
     meter: Arc<CostMeter>,
     checkpoint: Option<Arc<dyn CheckpointStore>>,
-    prompt: Prompt,
+    prompt: Arc<Prompt>,
     params: SamplerParams,
     batches: u64,
 }
@@ -414,7 +414,7 @@ impl SurveyService {
             scratch: Arc::new(VirtualClock::new()),
             meter: Arc::new(CostMeter::new()),
             checkpoint: None,
-            prompt: Prompt::build(Language::English, PromptMode::Parallel),
+            prompt: Arc::new(Prompt::build(Language::English, PromptMode::Parallel)),
             params: SamplerParams::default(),
             batches: 0,
             config,
@@ -794,7 +794,7 @@ impl SurveyService {
             .filter(|(_, &slot)| slot)
             .map(|(request, _)| ModelRequest {
                 context: request.context.clone(),
-                prompt: self.prompt.clone(),
+                prompt: Arc::clone(&self.prompt),
                 params: self.params,
             })
             .collect();
@@ -867,22 +867,9 @@ impl SurveyService {
                     .expect("one executor result per ensemble slot");
                 match result {
                     Ok(response) => {
-                        let mut answers = Vec::with_capacity(6);
-                        let mut complete = true;
-                        for (text, message) in response.texts.iter().zip(&self.prompt.messages) {
-                            let parsed =
-                                parse_response(text, self.prompt.language, message.questions.len());
-                            complete &= parsed.is_complete();
-                            answers.extend(parsed.answers);
-                        }
+                        let (set, complete) = self.prompt.read_presence(&response.texts);
                         if !complete {
                             registry.add("serve.parse_failures", 1);
-                        }
-                        let mut set = IndicatorSet::new();
-                        for (ind, ans) in self.prompt.question_order().iter().zip(answers) {
-                            if ans == Some(true) {
-                                set.insert(*ind);
-                            }
                         }
                         if member.voting {
                             votes.push(Some(set));

@@ -36,7 +36,14 @@ pub fn child_seed(parent: u64, tag: &str) -> u64 {
 
 /// Derives a child seed indexed by an integer (e.g. per image, per worker).
 pub fn child_seed_n(parent: u64, tag: &str, n: u64) -> u64 {
-    splitmix64(child_seed(parent, tag) ^ splitmix64(n.wrapping_add(0x9e37_79b9_7f4a_7c15)))
+    indexed_seed(child_seed(parent, tag), n)
+}
+
+/// [`child_seed_n`] with the tag already folded in:
+/// `indexed_seed(child_seed(parent, tag), n) == child_seed_n(parent, tag, n)`.
+/// Hot loops that index one tagged seed many times hash the tag once.
+pub fn indexed_seed(tagged: u64, n: u64) -> u64 {
+    splitmix64(tagged ^ splitmix64(n.wrapping_add(0x9e37_79b9_7f4a_7c15)))
 }
 
 /// A SplitMix64 finalization step: a cheap, well-mixed 64-bit permutation.
@@ -119,6 +126,14 @@ mod tests {
         assert_ne!(child_seed(1, "a"), child_seed(1, "b"));
         assert_ne!(child_seed(1, "a"), child_seed(2, "a"));
         assert_eq!(child_seed(7, "scene"), child_seed(7, "scene"));
+    }
+
+    #[test]
+    fn indexed_seed_folds_the_tag_like_child_seed_n() {
+        for (parent, n) in [(0, 0), (7, 3), (u64::MAX, u64::MAX), (42, 1 << 61)] {
+            let tagged = child_seed(parent, "class");
+            assert_eq!(indexed_seed(tagged, n), child_seed_n(parent, "class", n));
+        }
     }
 
     #[test]

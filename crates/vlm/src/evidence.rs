@@ -7,7 +7,7 @@
 //! determines how much majority voting can help (DESIGN.md §5, knob 2).
 
 use nbhd_scene::{scene_evidence, IndicatorEvidence, SceneSpec};
-use nbhd_types::rng::{child_seed, child_seed_n, rng_from, sample_standard_normal, std_normal_cdf};
+use nbhd_types::rng::{child_seed, indexed_seed, rng_from, sample_standard_normal, std_normal_cdf};
 use nbhd_types::{ImageId, Indicator, IndicatorMap, IndicatorSet};
 
 /// Fraction of difficulty variance shared across models (the correlation
@@ -16,6 +16,11 @@ use nbhd_types::{ImageId, Indicator, IndicatorMap, IndicatorSet};
 pub const DEFAULT_SHARED_FRACTION: f64 = 0.55;
 
 /// Everything a simulated model may "see" about one image.
+///
+/// The shared difficulty draws are made once, when the context is built
+/// from `image` and `survey_seed`, so every model that answers about the
+/// image reads them instead of redrawing them. Editing either field
+/// afterwards does not redraw them: build a new context instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImageContext {
     /// The image identity.
@@ -27,30 +32,67 @@ pub struct ImageContext {
     pub evidence: IndicatorMap<IndicatorEvidence>,
     /// The survey-level seed anchoring the shared difficulty draws.
     pub survey_seed: u64,
+    /// The shared standard-normal difficulty draw per class.
+    shared: IndicatorMap<f64>,
 }
 
 impl ImageContext {
     /// Builds the context from a scene's ground truth.
     pub fn from_scene(spec: &SceneSpec, survey_seed: u64) -> ImageContext {
+        let class_seed = child_seed(child_seed(survey_seed, "difficulty"), "class");
         ImageContext {
             image: spec.image,
             presence: spec.presence(),
             evidence: scene_evidence(spec),
             survey_seed,
+            shared: IndicatorMap::from_fn(|ind| {
+                sample_standard_normal(&mut rng_from(indexed_seed(
+                    class_seed,
+                    class_key(spec.image, ind),
+                )))
+            }),
         }
     }
 
     /// The shared standard-normal difficulty draw for a class of this image.
     pub fn shared_difficulty(&self, ind: Indicator) -> f64 {
-        let seed = child_seed_n(
-            child_seed(self.survey_seed, "difficulty"),
-            "class",
-            self.image
-                .key()
-                .wrapping_mul(7)
-                .wrapping_add(ind.index() as u64),
-        );
-        sample_standard_normal(&mut rng_from(seed))
+        self.shared[ind]
+    }
+}
+
+/// The per-(image, class) index of every difficulty draw. It wraps
+/// instead of overflowing for image keys near the top of the range.
+fn class_key(image: ImageId, ind: Indicator) -> u64 {
+    image.key().wrapping_mul(7).wrapping_add(ind.index() as u64)
+}
+
+/// One model's half of the Gaussian copula, with everything that does not
+/// depend on the image computed once: the model's per-class seed and the
+/// two mixing weights.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Copula {
+    class_seed: u64,
+    shared_weight: f64,
+    own_weight: f64,
+}
+
+impl Copula {
+    /// The copula of the model seeded by `model_seed` at a shared fraction.
+    pub(crate) fn new(model_seed: u64, shared_fraction: f64) -> Copula {
+        let alpha = shared_fraction.clamp(0.0, 1.0);
+        Copula {
+            class_seed: child_seed(child_seed(model_seed, "idiosyncratic"), "class"),
+            shared_weight: alpha.sqrt(),
+            own_weight: (1.0 - alpha).sqrt(),
+        }
+    }
+
+    /// The uniform difficulty of one class of one image for this model.
+    pub(crate) fn draw(&self, ctx: &ImageContext, ind: Indicator) -> f64 {
+        let z_shared = ctx.shared_difficulty(ind);
+        let seed = indexed_seed(self.class_seed, class_key(ctx.image, ind));
+        let z_model = sample_standard_normal(&mut rng_from(seed));
+        std_normal_cdf(self.shared_weight * z_shared + self.own_weight * z_model)
     }
 }
 
@@ -64,19 +106,7 @@ pub fn mixed_difficulty(
     ind: Indicator,
     shared_fraction: f64,
 ) -> f64 {
-    let alpha = shared_fraction.clamp(0.0, 1.0);
-    let z_shared = ctx.shared_difficulty(ind);
-    let seed = child_seed_n(
-        child_seed(model_seed, "idiosyncratic"),
-        "class",
-        ctx.image
-            .key()
-            .wrapping_mul(7)
-            .wrapping_add(ind.index() as u64),
-    );
-    let z_model = sample_standard_normal(&mut rng_from(seed));
-    let z = alpha.sqrt() * z_shared + (1.0 - alpha).sqrt() * z_model;
-    std_normal_cdf(z)
+    Copula::new(model_seed, shared_fraction).draw(ctx, ind)
 }
 
 #[cfg(test)]
@@ -152,6 +182,33 @@ mod tests {
             assert!(c.shared_difficulty(ind).is_finite());
             let u = mixed_difficulty(&c, 1, ind, 0.55);
             assert!((0.0..=1.0).contains(&u), "{ind:?}: {u}");
+        }
+    }
+
+    #[test]
+    fn hoisted_draws_equal_the_per_call_formulas() {
+        use nbhd_types::rng::child_seed_n;
+        for loc in [0, 7, 1 << 61] {
+            let c = ctx(loc);
+            for ind in Indicator::ALL {
+                let key = c
+                    .image
+                    .key()
+                    .wrapping_mul(7)
+                    .wrapping_add(ind.index() as u64);
+                let shared_seed = child_seed_n(child_seed(9, "difficulty"), "class", key);
+                let z_shared = sample_standard_normal(&mut rng_from(shared_seed));
+                assert_eq!(c.shared_difficulty(ind).to_bits(), z_shared.to_bits());
+                for (model_seed, alpha) in [(1, 0.55), (2, 0.0), (3, 1.0), (4, 1.7)] {
+                    let own_seed =
+                        child_seed_n(child_seed(model_seed, "idiosyncratic"), "class", key);
+                    let z_model = sample_standard_normal(&mut rng_from(own_seed));
+                    let a: f64 = f64::clamp(alpha, 0.0, 1.0);
+                    let u = std_normal_cdf(a.sqrt() * z_shared + (1.0 - a).sqrt() * z_model);
+                    let got = mixed_difficulty(&c, model_seed, ind, alpha);
+                    assert_eq!(got.to_bits(), u.to_bits(), "{loc} {ind:?} {alpha}");
+                }
+            }
         }
     }
 

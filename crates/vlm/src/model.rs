@@ -1,14 +1,18 @@
 //! The simulated vision-language model: profile + evidence + sampler.
 
+use std::sync::OnceLock;
+
 use nbhd_prompt::{Language, Prompt, PromptMessage, PromptMode};
-use nbhd_types::rng::{child_seed, child_seed_n, rng_from};
-use nbhd_types::Indicator;
+use nbhd_types::rng::{child_seed, indexed_seed, rng_from};
+use nbhd_types::{Indicator, IndicatorMap};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::evidence::Copula;
+use crate::sampler::TokenSampler;
 use crate::{
-    margin_confidence, mixed_difficulty, sample_answer, AnswerToken, ImageContext, ModelProfile,
-    SamplerParams, DEFAULT_SHARED_FRACTION,
+    margin_confidence, AnswerToken, ImageContext, ModelProfile, SamplerParams,
+    DEFAULT_SHARED_FRACTION,
 };
 
 /// Coupling strength between scene visibility and effective sensitivity.
@@ -27,7 +31,30 @@ const DISTRACTOR_MEAN: f64 = 0.15;
 const SENSITIVITY_COMPENSATION: f64 = 0.012;
 const SPECIFICITY_COMPENSATION: f64 = 0.002;
 
+/// The prompt modes, in plan-slot order.
+const MODES: [PromptMode; 2] = [PromptMode::Parallel, PromptMode::Sequential];
+
+/// One plan per (language, mode) pair.
+const PLANS: usize = Language::ALL.len() * MODES.len();
+
 /// A runnable simulated model.
+///
+/// A request pays only for what depends on its image. Everything that
+/// depends on the model, the prompt's language and mode, and the sampler
+/// settings alone is computed once and shared by every request and every
+/// executor worker:
+///
+/// - at construction, the model's copula seed and mixing weights, and per
+///   (language, mode) the clamped sensitivity and specificity of each
+///   class;
+/// - on the first request with a new (language, mode, temperature,
+///   top-p), the seed its messages draw from, its format-echo probability
+///   and its tempered junk-token weight. They are memoized in a list that
+///   workers read without taking a lock.
+///
+/// Each value is the one the per-request path used to recompute, from the
+/// same inputs in the same floating-point order, so every response is
+/// byte-identical to recomputing it.
 ///
 /// # Examples
 ///
@@ -54,16 +81,136 @@ const SPECIFICITY_COMPENSATION: f64 = 0.002;
 pub struct VisionModel {
     profile: ModelProfile,
     survey_seed: u64,
-    shared_fraction: f64,
+    copula: Copula,
+    plans: [Plan; PLANS],
+}
+
+/// What one (language, mode) pair fixes for every request.
+#[derive(Debug, Clone)]
+struct Plan {
+    /// Per class: the clamped language sensitivity times the prompt-mode
+    /// structure factor.
+    sensitivity: IndicatorMap<f64>,
+    /// Per class: the clamped language specificity.
+    specificity: IndicatorMap<f64>,
+    /// What each sampler setting fixes, memoized.
+    settings: SettingMemo,
+}
+
+impl Plan {
+    fn new(profile: &ModelProfile, language: Language, mode: PromptMode) -> Plan {
+        let structure = if mode == PromptMode::Sequential {
+            profile.sequential_factor
+        } else {
+            1.0
+        };
+        Plan {
+            sensitivity: IndicatorMap::from_fn(|ind| {
+                profile.sensitivity(ind, language) * structure
+            }),
+            specificity: IndicatorMap::from_fn(|ind| profile.specificity(ind, language)),
+            settings: SettingMemo::default(),
+        }
+    }
+
+    /// The calibrated decision for one question (see [`VisionModel::decide`]).
+    fn decide(&self, copula: &Copula, ctx: &ImageContext, ind: Indicator) -> (bool, f64) {
+        let ev = ctx.evidence[ind];
+        let u = copula.draw(ctx, ind);
+        if ctx.presence.contains(ind) {
+            let s_eff = (self.sensitivity[ind]
+                + VISIBILITY_COUPLING * (ev.visibility as f64 - VISIBILITY_MEAN)
+                + SENSITIVITY_COMPENSATION)
+                .clamp(0.01, 0.995);
+            (u < s_eff, s_eff - u)
+        } else {
+            let f_eff = (self.specificity[ind]
+                - DISTRACTOR_COUPLING * (ev.distractor as f64 - DISTRACTOR_MEAN)
+                + SPECIFICITY_COMPENSATION)
+                .clamp(0.01, 0.995);
+            (u > f_eff, u - f_eff)
+        }
+    }
+}
+
+/// What one sampler setting fixes for every request of a (language,
+/// mode) pair.
+#[derive(Debug, Clone, Copy)]
+struct Setting {
+    /// The seed every message draws its RNG from.
+    message_seed: u64,
+    /// The probability of echoing the instruction's example pattern.
+    rigidity: f64,
+    sampler: TokenSampler,
+}
+
+/// An append-only list from sampler settings, as `(temperature, top_p)`
+/// bits, to their [`Setting`]. Each node is published once through a
+/// `OnceLock`, and readers only load, so workers never wait on each other
+/// once a setting has been seen. Every caller walks the same list from the
+/// head and appends only at its end, so a setting is computed at most once.
+#[derive(Debug, Clone, Default)]
+struct SettingMemo {
+    head: OnceLock<Box<SettingNode>>,
+}
+
+#[derive(Debug, Clone)]
+struct SettingNode {
+    key: (u64, u64),
+    setting: Setting,
+    next: OnceLock<Box<SettingNode>>,
+}
+
+impl SettingMemo {
+    fn get_or_insert(&self, key: (u64, u64), compute: impl Fn() -> Setting) -> &Setting {
+        let mut link = &self.head;
+        loop {
+            let node = link.get_or_init(|| {
+                Box::new(SettingNode {
+                    key,
+                    setting: compute(),
+                    next: OnceLock::new(),
+                })
+            });
+            if node.key == key {
+                return &node.setting;
+            }
+            link = &node.next;
+        }
+    }
+}
+
+/// The plan slot of a (language, mode) pair.
+fn slot(language: Language, mode: PromptMode) -> usize {
+    let lang = Language::ALL
+        .iter()
+        .position(|&l| l == language)
+        .expect("Language::ALL lists every language");
+    let mode = MODES
+        .iter()
+        .position(|&m| m == mode)
+        .expect("MODES lists every prompt mode");
+    lang * MODES.len() + mode
 }
 
 impl VisionModel {
     /// Creates a model bound to a survey seed.
     pub fn new(profile: ModelProfile, survey_seed: u64) -> VisionModel {
+        let plans = std::array::from_fn(|i| {
+            Plan::new(
+                &profile,
+                Language::ALL[i / MODES.len()],
+                MODES[i % MODES.len()],
+            )
+        });
         VisionModel {
+            copula: Copula::new(
+                child_seed(survey_seed, &profile.name),
+                DEFAULT_SHARED_FRACTION,
+            ),
             profile,
             survey_seed,
-            shared_fraction: DEFAULT_SHARED_FRACTION,
+            plans,
         }
     }
 
@@ -71,7 +218,7 @@ impl VisionModel {
     /// voting-gain ablation).
     #[must_use]
     pub fn with_shared_fraction(mut self, alpha: f64) -> VisionModel {
-        self.shared_fraction = alpha.clamp(0.0, 1.0);
+        self.copula = Copula::new(child_seed(self.survey_seed, &self.profile.name), alpha);
         self
     }
 
@@ -92,6 +239,31 @@ impl VisionModel {
         prompt: &Prompt,
         params: &SamplerParams,
     ) -> Vec<String> {
+        let plan = &self.plans[slot(prompt.language, prompt.mode)];
+        let key = (params.temperature.to_bits(), params.top_p.to_bits());
+        let setting = plan
+            .settings
+            .get_or_insert(key, || self.setting(prompt, params));
+        prompt
+            .messages
+            .iter()
+            .enumerate()
+            .map(|(msg_idx, message)| {
+                let mut rng = rng_from(indexed_seed(
+                    setting.message_seed,
+                    ctx.image
+                        .key()
+                        .wrapping_mul(31)
+                        .wrapping_add(msg_idx as u64),
+                ));
+                self.render_message(plan, setting, ctx, prompt.language, message, &mut rng)
+            })
+            .collect()
+    }
+
+    /// What a (language, mode, sampler setting) fixes. Settings that print
+    /// alike at three decimals share a message seed.
+    fn setting(&self, prompt: &Prompt, params: &SamplerParams) -> Setting {
         let model_seed = child_seed(
             child_seed(self.survey_seed, "vlm"),
             &format!(
@@ -103,65 +275,53 @@ impl VisionModel {
                 params.top_p
             ),
         );
-        prompt
-            .messages
-            .iter()
-            .enumerate()
-            .map(|(msg_idx, message)| {
-                let mut rng = rng_from(child_seed_n(
-                    model_seed,
-                    "message",
-                    ctx.image
-                        .key()
-                        .wrapping_mul(31)
-                        .wrapping_add(msg_idx as u64),
-                ));
-                self.render_message(ctx, prompt, message, params, &mut rng)
-            })
-            .collect()
+        Setting {
+            message_seed: child_seed(model_seed, "message"),
+            rigidity: self.profile.rigidity * params.rigidity_drive(),
+            sampler: TokenSampler::new(self.profile.junk_mass, params),
+        }
     }
 
     fn render_message(
         &self,
+        plan: &Plan,
+        setting: &Setting,
         ctx: &ImageContext,
-        prompt: &Prompt,
+        language: Language,
         message: &PromptMessage,
-        params: &SamplerParams,
         rng: &mut StdRng,
     ) -> String {
         // Format rigidity: at aggressive decoding settings the model may
         // echo the instruction's example answer pattern verbatim.
-        let rigidity_p = self.profile.rigidity * params.rigidity_drive();
-        if rigidity_p > 0.0 && rng.random_bool(rigidity_p.min(1.0)) {
-            return format_echo(prompt.language, message.questions.len());
+        if setting.rigidity > 0.0 && rng.random_bool(setting.rigidity.min(1.0)) {
+            return format_echo(language, message.questions.len());
         }
 
-        let mut parts: Vec<String> = Vec::with_capacity(message.questions.len());
-        for &ind in &message.questions {
-            let (intent_yes, margin) = self.decide(ctx, ind, prompt.language, prompt.mode);
-            let token = sample_answer(
-                rng,
-                margin_confidence(margin),
-                self.profile.junk_mass,
-                params,
-            );
+        let mut text = String::with_capacity(12 * message.questions.len());
+        for (i, &ind) in message.questions.iter().enumerate() {
+            let (intent_yes, margin) = plan.decide(&self.copula, ctx, ind);
+            let token = setting.sampler.sample(rng, margin_confidence(margin));
             let part = match token {
-                AnswerToken::Intent => answer_word(prompt.language, intent_yes),
-                AnswerToken::Flip => answer_word(prompt.language, !intent_yes),
-                AnswerToken::Junk => junk_phrase(prompt.language, rng).to_owned(),
+                AnswerToken::Intent => answer_word(language, intent_yes),
+                AnswerToken::Flip => answer_word(language, !intent_yes),
+                AnswerToken::Junk => junk_phrase(language, rng),
             };
+            if i > 0 {
+                text.push_str(", ");
+            }
+            text.push_str(part);
             // occasional verbose English phrasing
-            if prompt.language == Language::English
+            if language == Language::English
                 && token != AnswerToken::Junk
                 && rng.random_bool(self.profile.verbosity)
             {
                 let polarity = if part == "Yes" { "is" } else { "is not" };
-                parts.push(format!("{part} — there {polarity} a {} visible", noun(ind)));
-            } else {
-                parts.push(part);
+                for piece in [" — there ", polarity, " a ", noun(ind), " visible"] {
+                    text.push_str(piece);
+                }
             }
         }
-        parts.join(", ")
+        text
     }
 
     /// The calibrated yes/no decision for one question: the latent intent
@@ -173,42 +333,16 @@ impl VisionModel {
         language: Language,
         mode: PromptMode,
     ) -> (bool, f64) {
-        let structure = if mode == PromptMode::Sequential {
-            self.profile.sequential_factor
-        } else {
-            1.0
-        };
-        let present = ctx.presence.contains(ind);
-        let ev = ctx.evidence[ind];
-        let u = mixed_difficulty(
-            ctx,
-            child_seed(self.survey_seed, &self.profile.name),
-            ind,
-            self.shared_fraction,
-        );
-        if present {
-            let s = self.profile.sensitivity(ind, language) * structure;
-            let s_eff = (s
-                + VISIBILITY_COUPLING * (ev.visibility as f64 - VISIBILITY_MEAN)
-                + SENSITIVITY_COMPENSATION)
-                .clamp(0.01, 0.995);
-            (u < s_eff, s_eff - u)
-        } else {
-            let f = self.profile.specificity(ind, language);
-            let f_eff = (f - DISTRACTOR_COUPLING * (ev.distractor as f64 - DISTRACTOR_MEAN)
-                + SPECIFICITY_COMPENSATION)
-                .clamp(0.01, 0.995);
-            (u > f_eff, u - f_eff)
-        }
+        self.plans[slot(language, mode)].decide(&self.copula, ctx, ind)
     }
 }
 
 /// The canonical answer word for a language.
-fn answer_word(language: Language, yes: bool) -> String {
+fn answer_word(language: Language, yes: bool) -> &'static str {
     if yes {
-        language.yes_word().to_owned()
+        language.yes_word()
     } else {
-        language.no_word().to_owned()
+        language.no_word()
     }
 }
 
@@ -277,6 +411,56 @@ mod tests {
             view,
         );
         ImageContext::from_scene(&spec, 7)
+    }
+
+    #[test]
+    fn each_setting_is_computed_once_even_from_racing_threads() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let memo = SettingMemo::default();
+        let computed = AtomicUsize::new(0);
+        let setting = |seed: u64| Setting {
+            message_seed: seed,
+            rigidity: 0.0,
+            sampler: TokenSampler::new(0.01, &SamplerParams::default()),
+        };
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (memo, computed) = (&memo, &computed);
+                scope.spawn(move || {
+                    for k in 0..64u64 {
+                        let key = ((k + t * 3) % 8, 0);
+                        let got = memo.get_or_insert(key, || {
+                            computed.fetch_add(1, Ordering::SeqCst);
+                            setting(key.0 * 10)
+                        });
+                        assert_eq!(got.message_seed, key.0 * 10);
+                    }
+                });
+            }
+        });
+        assert_eq!(computed.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn settings_that_print_alike_share_a_message_seed() {
+        let model = VisionModel::new(gemini_15_pro(), 7);
+        let prompt = Prompt::build(Language::Spanish, PromptMode::Sequential);
+        let a = SamplerParams {
+            temperature: 0.7,
+            top_p: 0.9,
+        };
+        let b = SamplerParams {
+            temperature: 0.700_000_1,
+            top_p: 0.899_999_9,
+        };
+        assert_ne!(a, b);
+        let seed = |p: &SamplerParams| model.setting(&prompt, p).message_seed;
+        assert_eq!(seed(&a), seed(&b));
+        let c = SamplerParams {
+            temperature: 0.701,
+            top_p: 0.9,
+        };
+        assert_ne!(seed(&a), seed(&c));
     }
 
     #[test]

@@ -97,29 +97,38 @@ pub struct ModelProfile {
 impl ModelProfile {
     /// Looks up the skill for a language (native when unlisted).
     pub fn language_skill(&self, language: Language) -> LanguageSkill {
+        self.listed_skill(language)
+            .cloned()
+            .unwrap_or_else(LanguageSkill::native)
+    }
+
+    /// The listed skill for a language, borrowed; `None` means native.
+    fn listed_skill(&self, language: Language) -> Option<&LanguageSkill> {
         self.languages
             .iter()
             .find(|(l, _)| *l == language)
-            .map(|(_, s)| s.clone())
-            .unwrap_or_else(LanguageSkill::native)
+            .map(|(_, s)| s)
     }
 
     /// The effective sensitivity for a class under a language, before
     /// per-image evidence adjustment.
     pub fn sensitivity(&self, ind: Indicator, language: Language) -> f64 {
-        let skill = self.language_skill(language);
-        if let Some((_, s)) = skill.overrides.iter().find(|(i, _)| *i == ind) {
+        let skill = self.listed_skill(language);
+        if let Some((_, s)) = skill.and_then(|s| s.overrides.iter().find(|(i, _)| *i == ind)) {
             return *s;
         }
-        (self.reliability[ind].sensitivity * skill.sensitivity_factor).clamp(0.01, 0.995)
+        let factor = skill.map_or(1.0, |s| s.sensitivity_factor);
+        (self.reliability[ind].sensitivity * factor).clamp(0.01, 0.995)
     }
 
     /// The effective specificity for a class under a language. Non-native
     /// languages lose a milder amount of specificity (square-root of the
     /// sensitivity factor).
     pub fn specificity(&self, ind: Indicator, language: Language) -> f64 {
-        let skill = self.language_skill(language);
-        (self.reliability[ind].specificity * skill.sensitivity_factor.sqrt()).clamp(0.01, 0.995)
+        let factor = self
+            .listed_skill(language)
+            .map_or(1.0, |s| s.sensitivity_factor);
+        (self.reliability[ind].specificity * factor.sqrt()).clamp(0.01, 0.995)
     }
 }
 

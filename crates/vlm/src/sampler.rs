@@ -87,45 +87,69 @@ pub fn sample_answer<R: Rng + ?Sized>(
     junk_mass: f64,
     params: &SamplerParams,
 ) -> AnswerToken {
-    // Base (T=1) log-probabilities.
-    let conf = confidence.clamp(0.0, 1.0);
-    let q = 0.5 + 0.5 * conf; // belief assigned to the intent token
-    let p_intent = q * (1.0 - junk_mass);
-    let p_flip = (1.0 - q) * (1.0 - junk_mass);
-    let p_junk = junk_mass.max(1e-9);
+    TokenSampler::new(junk_mass, params).sample(rng, confidence)
+}
 
-    // Temperature rescaling: p^(1/T), renormalized.
-    let t = params.temperature.clamp(0.05, 2.0);
-    let w_intent = p_intent.max(1e-12).powf(1.0 / t);
-    let w_flip = p_flip.max(1e-12).powf(1.0 / t);
-    let w_junk = p_junk.powf(1.0 / t);
+/// [`sample_answer`] with what the model's junk mass and the sampler
+/// settings fix computed once: the inverse temperature and the tempered
+/// junk weight. Only the intent and flip weights depend on the question.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TokenSampler {
+    junk_mass: f64,
+    inv_temperature: f64,
+    w_junk: f64,
+    top_p: f64,
+}
 
-    // Nucleus truncation over the three buckets, largest first.
-    let mut buckets = [
-        (AnswerToken::Intent, w_intent),
-        (AnswerToken::Flip, w_flip),
-        (AnswerToken::Junk, w_junk),
-    ];
-    buckets.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
-    let total: f64 = buckets.iter().map(|b| b.1).sum();
-    let mut kept = 0usize;
-    let mut mass = 0.0;
-    for (i, b) in buckets.iter().enumerate() {
-        mass += b.1 / total;
-        kept = i + 1;
-        if mass >= params.top_p {
-            break;
+impl TokenSampler {
+    pub(crate) fn new(junk_mass: f64, params: &SamplerParams) -> TokenSampler {
+        // Temperature rescaling: p^(1/T), renormalized.
+        let t = params.temperature.clamp(0.05, 2.0);
+        TokenSampler {
+            junk_mass,
+            inv_temperature: 1.0 / t,
+            w_junk: junk_mass.max(1e-9).powf(1.0 / t),
+            top_p: params.top_p,
         }
     }
-    let kept_total: f64 = buckets[..kept].iter().map(|b| b.1).sum();
-    let mut draw: f64 = rng.random::<f64>() * kept_total;
-    for b in &buckets[..kept] {
-        if draw < b.1 {
-            return b.0;
+
+    /// Samples one answer token at a confidence (see [`sample_answer`]).
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R, confidence: f64) -> AnswerToken {
+        // Base (T=1) probabilities.
+        let conf = confidence.clamp(0.0, 1.0);
+        let q = 0.5 + 0.5 * conf; // belief assigned to the intent token
+        let p_intent = q * (1.0 - self.junk_mass);
+        let p_flip = (1.0 - q) * (1.0 - self.junk_mass);
+        let w_intent = p_intent.max(1e-12).powf(self.inv_temperature);
+        let w_flip = p_flip.max(1e-12).powf(self.inv_temperature);
+
+        // Nucleus truncation over the three buckets, largest first.
+        let mut buckets = [
+            (AnswerToken::Intent, w_intent),
+            (AnswerToken::Flip, w_flip),
+            (AnswerToken::Junk, self.w_junk),
+        ];
+        buckets.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
+        let total: f64 = buckets.iter().map(|b| b.1).sum();
+        let mut kept = 0usize;
+        let mut mass = 0.0;
+        for (i, b) in buckets.iter().enumerate() {
+            mass += b.1 / total;
+            kept = i + 1;
+            if mass >= self.top_p {
+                break;
+            }
         }
-        draw -= b.1;
+        let kept_total: f64 = buckets[..kept].iter().map(|b| b.1).sum();
+        let mut draw: f64 = rng.random::<f64>() * kept_total;
+        for b in &buckets[..kept] {
+            if draw < b.1 {
+                return b.0;
+            }
+            draw -= b.1;
+        }
+        buckets[kept - 1].0
     }
-    buckets[kept - 1].0
 }
 
 /// Converts a calibrated correctness margin into a confidence value for the

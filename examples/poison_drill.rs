@@ -37,6 +37,10 @@ use nbhd_core::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Poisoned captures panic on purpose; say nothing for those, and let
+    // any other panic print as usual.
+    nbhd::gsv::quiet_injected_panics();
+
     // 1. Poisoned locations: retries, quarantine, honest partial coverage.
     let obs = Obs::default();
     let config = SurveyConfig {

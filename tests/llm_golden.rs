@@ -57,9 +57,10 @@ fn contexts(seed: u64) -> Vec<ImageContext> {
         .collect()
 }
 
-/// The default, a cold and narrow setting (format echoes), and a hot one
-/// (junk tokens).
-const SETTINGS: [SamplerParams; 3] = [
+/// The default, a cold and narrow setting (format echoes), a hot one (junk
+/// tokens), and one that shares its temperature with the first and its
+/// top-p with the second, so a setting is told apart by both values.
+const SETTINGS: [SamplerParams; 4] = [
     SamplerParams {
         temperature: 1.0,
         top_p: 0.95,
@@ -71,6 +72,10 @@ const SETTINGS: [SamplerParams; 3] = [
     SamplerParams {
         temperature: 1.8,
         top_p: 1.0,
+    },
+    SamplerParams {
+        temperature: 1.0,
+        top_p: 0.5,
     },
 ];
 
@@ -93,10 +98,10 @@ fn respond_hash(model: &VisionModel, contexts: &[ImageContext]) -> u64 {
 }
 
 const RESPOND_GOLDEN: [(&str, u64); 4] = [
-    ("chatgpt-4o-mini", 11_445_672_398_156_920_581),
-    ("gemini-1.5-pro", 1_993_255_921_994_258_562),
-    ("claude-3.7", 10_457_539_692_615_517_243),
-    ("grok-2", 13_798_870_402_641_114_608),
+    ("chatgpt-4o-mini", 1_985_839_343_156_896_032),
+    ("gemini-1.5-pro", 13_177_881_679_155_148_026),
+    ("claude-3.7", 1_410_102_303_701_780_953),
+    ("grok-2", 16_693_788_113_635_787_348),
 ];
 
 #[test]
