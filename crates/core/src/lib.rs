@@ -69,8 +69,8 @@ pub use pipeline::{
     SurveyDataset, SurveyImageProvider, SurveyPipeline, CAPTURE_RECORD_KIND, PANIC_RECORD_KIND,
 };
 pub use shard::{
-    merge_shard_annotations, ShardImageProvider, ShardedOutcome, SurveyShardSource,
-    SHARD_COUNT_METRIC, SHARD_PEAK_GAUGE, SHARD_WALL_MS_HIST,
+    merge_shard_annotations, ShardedOutcome, SurveyShardSource, SHARD_COUNT_METRIC,
+    SHARD_PEAK_GAUGE, SHARD_WALL_MS_HIST,
 };
 pub use supervise::{
     run_supervised, CoverageReport, QuarantineCause, QuarantineRecord, QuarantineStage,

@@ -98,9 +98,9 @@ impl SurveyPipeline {
         // One task per (location, heading) pair, fanned out over the
         // execution substrate. The labeler is seeded per image id, so the
         // output is bit-identical at any worker count; captures go through
-        // the service so each scene renders (and is billed) exactly once,
-        // and later pixel fetches for the same image are cache hits that
-        // re-render the scene without a second fee.
+        // the service so each scene is labeled (and billed) exactly once
+        // without being painted, and later pixel fetches for the same
+        // image are cache hits that render the scene without a second fee.
         let pairs: Vec<(LocationId, Heading)> = service
             .covered_locations()
             .into_iter()
@@ -280,16 +280,14 @@ impl SurveyDataset {
         self.dataset.images()
     }
 
-    /// Fetches one image's pixels through the service (cached, billed).
+    /// Fetches one image's pixels through the service (cached, billed):
+    /// what [`SurveyDataset::provider`] serves.
     ///
     /// # Errors
     ///
     /// Propagates service failures.
     pub fn image(&self, id: ImageId) -> Result<RasterImage> {
-        let request = ImageRequest::builder(id.location, id.heading)
-            .size(self.config.image_size)
-            .build()?;
-        Ok(self.service.fetch(&request)?.image)
+        nbhd_detect::ImageProvider::image(&self.provider(), id)
     }
 
     /// The scene ground truth for an image (harness-only oracle).
@@ -336,11 +334,13 @@ impl SurveyDataset {
     }
 }
 
-/// Image provider backed by the survey's street-view service.
+/// Image provider backed by a street-view service: the survey's own, or a
+/// shard-scoped one rebuilt by [`crate::SurveyShardSource`]. Every pixel
+/// consumer fetches through it, so only they pay for rasterization.
 #[derive(Debug, Clone)]
 pub struct SurveyImageProvider {
-    service: Arc<StreetViewService>,
-    image_size: u32,
+    pub(crate) service: Arc<StreetViewService>,
+    pub(crate) image_size: u32,
 }
 
 impl nbhd_detect::ImageProvider for SurveyImageProvider {
@@ -387,7 +387,7 @@ mod tests {
     #[test]
     fn imagery_usage_accumulates_fees() {
         let survey = SurveyPipeline::new(SurveyConfig::smoke(13)).run().unwrap();
-        // the collection pass renders (and bills) each image exactly once
+        // the collection pass labels (and bills) each image exactly once
         let after_run = survey.imagery_usage();
         assert_eq!(after_run.billed_images as usize, survey.images().len());
         assert!(
@@ -395,7 +395,7 @@ mod tests {
                 .abs()
                 < 1e-9
         );
-        // pixel fetches afterwards are hits that re-render: fees frozen
+        // pixel fetches afterwards are hits that render: fees frozen
         let _ = survey.image(survey.images()[0]).unwrap();
         let _ = survey.image(survey.images()[0]).unwrap();
         let usage = survey.imagery_usage();

@@ -7,9 +7,9 @@
 //! over just that shard's points, the shard is captured and labeled, its
 //! annotations are folded out, and the service (with its cache of billed
 //! scene keys) is dropped before the next shard loads. No service keeps
-//! pixels: a capture's pixels live only until its unit has annotated them,
-//! and a later pixel fetch re-renders the scene. On clean data the merged
-//! [`crate::SurveyDataset`] is **byte-identical** to the unsharded
+//! pixels, and a capture paints none: it labels the scene for its unit to
+//! annotate, and a later pixel fetch renders the scene. On clean data the
+//! merged [`crate::SurveyDataset`] is **byte-identical** to the unsharded
 //! pipeline's at any shard count and any worker count — shard membership
 //! is a pure function of the location id ([`ShardPlan::assign`]), every
 //! capture unit is seeded by its image id, and [`merge_shard_annotations`]
@@ -27,17 +27,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use nbhd_detect::{
-    Detector, DetectorConfig, ImageProvider, ShardData, ShardSource, TrainConfig, Trainer,
-};
+use nbhd_detect::{Detector, DetectorConfig, ShardData, ShardSource, TrainConfig, Trainer};
 use nbhd_geo::{ShardPlan, SurveyPoint, SurveySample};
-use nbhd_gsv::{ImageRequest, StreetViewService};
+use nbhd_gsv::StreetViewService;
 use nbhd_journal::CheckpointStore;
 use nbhd_obs::Obs;
-use nbhd_raster::RasterImage;
 use nbhd_types::{ImageId, ImageLabels, Result};
 
-use crate::SurveyDataset;
+use crate::{SurveyDataset, SurveyImageProvider};
 
 /// Gauge: the run's peak cached scene keys — the maximum, over shards, of
 /// each shard service's cache high-water mark. It counts billed scenes a
@@ -184,7 +181,7 @@ pub fn merge_shard_annotations(batches: Vec<Vec<ImageLabels>>) -> Vec<ImageLabel
 
 /// A [`ShardSource`] over a sharded survey: `load(i)` rebuilds shard `i`'s
 /// scoped street-view service and hands back that shard's annotations.
-/// The service re-renders every pixel fetch, so the trainer holds no scene
+/// The service renders every pixel fetch, so the trainer holds no scene
 /// cache of pixels, and the billed keys it remembers are bounded by the
 /// largest shard.
 #[derive(Debug)]
@@ -197,30 +194,14 @@ pub struct SurveyShardSource {
     billing: Option<Arc<dyn CheckpointStore>>,
 }
 
-/// Pixel provider over one shard's scoped service.
-#[derive(Debug)]
-pub struct ShardImageProvider {
-    service: StreetViewService,
-    image_size: u32,
-}
-
-impl ImageProvider for ShardImageProvider {
-    fn image(&self, id: ImageId) -> Result<RasterImage> {
-        let request = ImageRequest::builder(id.location, id.heading)
-            .size(self.image_size)
-            .build()?;
-        Ok(self.service.fetch(&request)?.image)
-    }
-}
-
 impl ShardSource for SurveyShardSource {
-    type Provider = ShardImageProvider;
+    type Provider = SurveyImageProvider;
 
     fn shards(&self) -> usize {
         self.plan.shards()
     }
 
-    fn load(&self, shard: usize) -> Result<ShardData<ShardImageProvider>> {
+    fn load(&self, shard: usize) -> Result<ShardData<SurveyImageProvider>> {
         let points: Vec<SurveyPoint> = self
             .points
             .iter()
@@ -241,8 +222,8 @@ impl ShardSource for SurveyShardSource {
             .collect();
         Ok(ShardData {
             labels,
-            provider: ShardImageProvider {
-                service,
+            provider: SurveyImageProvider {
+                service: Arc::new(service),
                 image_size: self.image_size,
             },
         })

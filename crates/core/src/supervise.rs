@@ -144,7 +144,7 @@ impl SupervisePolicy {
 /// (label audit, harvest/merge) stamp typed records of the same shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QuarantineStage {
-    /// The capture-annotate unit: scene compose, render, fee, annotation.
+    /// The capture-annotate unit: scene compose, label pass, fee, annotation.
     Capture,
     /// A post-capture labeling or verification pass.
     Label,

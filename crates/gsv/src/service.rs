@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use nbhd_journal::CheckpointStore;
 use nbhd_raster::RasterImage;
-use nbhd_scene::{render, SceneGenerator, SceneSpec};
+use nbhd_scene::{labels, render, SceneGenerator, SceneSpec};
 use nbhd_types::rng::{child_seed_n, splitmix64};
 use nbhd_types::{Error, Heading, ImageId, LocationId, ObjectLabel, Result};
 use parking_lot::Mutex;
@@ -41,7 +41,7 @@ pub enum CoverageStatus {
 /// A successful image response: pixels plus capture metadata.
 #[derive(Debug, Clone)]
 pub struct ImageResponse {
-    /// The rendered capture.
+    /// The rendered image.
     pub image: RasterImage,
     /// Which image this is.
     pub id: ImageId,
@@ -51,25 +51,25 @@ pub struct ImageResponse {
     pub copyright: String,
 }
 
-/// One full render of a scene: the billable image response together with
-/// the ground-truth object labels the render pass produced.
+/// One billed scene as the annotator sees it: the ground-truth object
+/// labels of its render, without the pixels.
 ///
-/// The service keeps no pixels: it remembers which scenes it billed and
-/// re-renders on request. A consumer that needs labels (the survey
-/// pipeline's annotator) and one that later needs pixels (the detector's
-/// image provider) pay a single fee and get the same bytes.
+/// The service keeps no pixels: it remembers which scenes it billed. A
+/// capture labels the scene without painting it, and a later
+/// [`StreetViewService::fetch`] of the same request paints it as a cache
+/// hit: the survey's annotator and the detector's image provider pay a
+/// single fee, and the labels are exactly those of the fetched render.
 #[derive(Debug, Clone)]
 pub struct Capture {
-    /// The image response as served to pixel consumers.
-    pub response: ImageResponse,
-    /// Ground-truth labels from the same render pass (harness-only oracle).
+    /// Ground-truth labels of the scene's render (harness-only oracle),
+    /// bit-identical to `render(spec, size).1`.
     pub objects: Vec<ObjectLabel>,
 }
 
 /// The simulated Street View service: deterministic imagery by
 /// `(location, heading)`, coverage gaps, per-request fees, a daily quota,
 /// and a cache of billed `(ImageId, size)` keys, not pixels: a hit bills
-/// nothing and re-renders the scene, a pure function of the key. The cache
+/// nothing and recomposes the scene, a pure function of the key. The cache
 /// is FIFO by insertion (a hit does not refresh its entry), and a scene
 /// evicted after 4,096 newer keys bills again on its next request.
 ///
@@ -143,7 +143,7 @@ impl StreetViewService {
     ///
     /// Every scene fee already recorded in `store` is restored into the
     /// usage meter (so reported totals span the whole run, not just this
-    /// process) and marked *prepaid*: re-rendering a prepaid scene after a
+    /// process) and marked *prepaid*: serving a prepaid scene again after a
     /// crash costs compute but never a second fee. New fees are journaled
     /// **before** the meter is charged — save-before-act — so a crash
     /// between the two leaves the journal authoritative, not the meter.
@@ -215,32 +215,60 @@ impl StreetViewService {
         }
     }
 
-    /// Fetches imagery for a request, charging the per-image fee.
+    /// Fetches imagery for a request: the scene's pixels, charging the
+    /// per-image fee unless the scene is already billed. The only call that
+    /// rasterizes; it shares one cache entry with
+    /// [`StreetViewService::capture`], so capturing then fetching a scene
+    /// bills it once.
     ///
     /// # Errors
     ///
     /// * [`Error::NotFound`] when the location has no coverage.
     /// * [`Error::Service`] when the quota is exhausted.
+    /// * [`Error::Parse`] when a poison schedule corrupts the scene.
     pub fn fetch(&self, request: &ImageRequest) -> Result<ImageResponse> {
-        Ok(self.capture(request)?.response)
+        let spec = self.bill_scene(request)?;
+        let (image, _) = render(&spec, request.size());
+        Ok(ImageResponse {
+            image,
+            id: request.image_id(),
+            capture_date: (2025, 1),
+            copyright: "(c) nbhd synthetic imagery".to_owned(),
+        })
     }
 
-    /// Fetches the full capture — pixels *and* the render's ground-truth
-    /// labels — charging the per-image fee. Same billing, caching, and
-    /// quota behavior as [`StreetViewService::fetch`]; the two share one
-    /// cache entry, so fetching labels then pixels bills the scene once
-    /// and renders it twice.
+    /// Captures a scene for annotation: its ground-truth labels, charging
+    /// the per-image fee unless the scene is already billed. Same requests,
+    /// billing, caching and quota as [`StreetViewService::fetch`], but it
+    /// paints no pixels: the labels come from the renderer's label-only
+    /// pass and equal the labels of the fetched render bit for bit.
     ///
-    /// Safe to call from many threads at once: the scene renders outside
-    /// the service lock, so concurrent requests for *different* scenes
-    /// draw in parallel, and a lost race on the *same* scene is billed as
-    /// a cache hit (rendering is deterministic, so either render is valid).
+    /// Safe to call from many threads at once: the scene is composed and
+    /// labeled outside the service lock, and a lost race on the *same*
+    /// scene is billed as a cache hit (both are deterministic, so either
+    /// result is valid).
     ///
     /// # Errors
     ///
     /// * [`Error::NotFound`] when the location has no coverage.
     /// * [`Error::Service`] when the quota is exhausted.
+    /// * [`Error::Parse`] when a poison schedule corrupts the scene.
     pub fn capture(&self, request: &ImageRequest) -> Result<Capture> {
+        let spec = self.bill_scene(request)?;
+        Ok(Capture {
+            objects: labels(&spec, request.size()),
+        })
+    }
+
+    /// The one billed step behind [`StreetViewService::fetch`] and
+    /// [`StreetViewService::capture`]: count the request against the
+    /// quota, compose the scene (poisoned and validated) with the lock
+    /// released, then bill it or count a hit under the lock. Returns the
+    /// validated scene for the caller to paint or label.
+    ///
+    /// Poisoned locations fail before billing: a panic or a corrupt scene
+    /// costs a request and retries, never a fee.
+    fn bill_scene(&self, request: &ImageRequest) -> Result<SceneSpec> {
         let key = (request.image_id(), request.size());
         {
             let mut state = self.state.lock();
@@ -251,21 +279,19 @@ impl StreetViewService {
             }
             state.usage.requests += 1;
         }
-        // Render with the lock released: this is the expensive part, and
-        // it depends only on immutable service state.
-        let capture = self.render_capture(request)?;
+        let spec = self.validated_scene(request)?;
 
         let mut state = self.state.lock();
         if state.cache.contains(&key) {
             // A hit: the scene was billed before, by an earlier request or
-            // by another thread while the lock was released. Bill nothing:
-            // the render cost compute, not fees.
+            // by another thread while the lock was released. Bill nothing.
             state.usage.cache_hits += 1;
-            return Ok(capture);
+            return Ok(spec);
         }
         if self.prepaid.contains(&key) {
             // this scene's fee was journaled by a previous process; the
-            // render is redone (compute is free to redo) but the fee is not
+            // scene is served again (compute is free to redo) but the fee
+            // is not
             state.usage.cache_hits += 1;
         } else {
             if let Some(billing) = &self.billing {
@@ -295,16 +321,13 @@ impl StreetViewService {
         state.cache.insert(key);
         state.cache_order.push_back(key);
         state.peak_resident = state.peak_resident.max(state.cache.len());
-        Ok(capture)
+        Ok(spec)
     }
 
-    /// The one render path behind every capture, hit or miss: compose,
-    /// poison, validate, render. Pixels and labels are a pure function of
-    /// the request, so a hit re-renders the bytes the billed miss did.
-    ///
-    /// Poisoned locations fail before rendering, and therefore before any
-    /// fee is billed: a quarantined location costs retries, never money.
-    fn render_capture(&self, request: &ImageRequest) -> Result<Capture> {
+    /// Composes the requested scene, applies the poison schedule and
+    /// validates the result: a pure function of the request, so a hit gets
+    /// the scene the billed miss did.
+    fn validated_scene(&self, request: &ImageRequest) -> Result<SceneSpec> {
         let location = request.location();
         let mut spec = self.ground_truth(request.image_id())?;
         let poison = self
@@ -321,16 +344,7 @@ impl StreetViewService {
         // Defense in depth: every composed spec is validated before it can
         // reach the renderer, corrupt-injected or not.
         spec.validate()?;
-        let (image, objects) = render(&spec, request.size());
-        Ok(Capture {
-            response: ImageResponse {
-                image,
-                id: request.image_id(),
-                capture_date: (2025, 1),
-                copyright: "(c) nbhd synthetic imagery".to_owned(),
-            },
-            objects,
-        })
+        Ok(spec)
     }
 
     /// High-water mark of scene keys in the cache at once: how many billed
@@ -410,19 +424,18 @@ mod tests {
             .build()
             .unwrap();
         let miss = svc.capture(&req).unwrap();
-        // the hit re-renders: the same pixels and labels as the billed miss
+        // the hit relabels: the same labels as the billed miss
         let hit = svc.capture(&req).unwrap();
-        assert_eq!(miss.response.image, hit.response.image);
         assert_eq!(miss.objects, hit.objects);
         let usage = svc.usage();
         assert_eq!(usage.requests, 2);
         assert_eq!(usage.billed_images, 1, "the hit bills nothing");
         assert_eq!(usage.cache_hits, 1);
-        // fetch shares the capture's cache entry
+        // fetch shares the capture's cache entry, and repaints the same
+        // pixels on every hit
         let a = svc.fetch(&req).unwrap();
         let b = svc.fetch(&req).unwrap();
         assert_eq!(a.image, b.image);
-        assert_eq!(a.image, miss.response.image);
         let usage = svc.usage();
         assert_eq!(usage.billed_images, 1, "fetches served from cache");
         assert_eq!(usage.cache_hits, 3);
@@ -504,15 +517,27 @@ mod tests {
         let cap = svc.capture(&req).unwrap();
         let spec = svc.ground_truth(id).unwrap();
         let (image, objects) = nbhd_scene::render(&spec, 64);
-        assert_eq!(cap.response.image, image);
+        let bits = |labels: &[ObjectLabel]| -> Vec<[u32; 4]> {
+            labels
+                .iter()
+                .map(|l| [l.bbox.x, l.bbox.y, l.bbox.w, l.bbox.h].map(f32::to_bits))
+                .collect()
+        };
         assert_eq!(cap.objects, objects);
+        assert_eq!(bits(&cap.objects), bits(&objects));
         assert_eq!(svc.peak_resident_scenes(), 1, "one scene billed");
-        // fetch after capture is a cache hit: two renders, one fee
-        let resp = svc.fetch(&req).unwrap();
-        assert_eq!(resp.image, cap.response.image);
         let usage = svc.usage();
+        assert_eq!((usage.billed_images, usage.cache_hits), (1, 0));
+        // fetch after capture is a cache hit: one fee, and the pixels of
+        // the render whose labels the capture returned
+        let resp = svc.fetch(&req).unwrap();
+        assert_eq!(resp.image, image);
+        assert_eq!(resp.id, id);
+        let usage = svc.usage();
+        assert_eq!(usage.requests, 2);
         assert_eq!(usage.billed_images, 1);
         assert_eq!(usage.cache_hits, 1);
+        assert!(usage.fees_usd == FEE_PER_IMAGE_USD);
     }
 
     #[test]
@@ -561,6 +586,7 @@ mod tests {
             .iter()
             .map(|&heading| svc.capture(&request(heading)).unwrap())
             .collect();
+        let pixels = svc.fetch(&request(Heading::ALL[0])).unwrap().image;
         let first = svc.usage();
         assert_eq!(first.billed_images, 3);
         assert_eq!(store.load_kind(FEE_RECORD_KIND).len(), 3);
@@ -583,13 +609,14 @@ mod tests {
         assert_eq!(usage.billed_images, 4, "only the fourth heading is new");
         assert_eq!(store.load_kind(FEE_RECORD_KIND).len(), 4);
         assert!((usage.fees_usd - 4.0 * FEE_PER_IMAGE_USD).abs() < 1e-12);
-        // a hit on a prepaid scene re-renders the bytes billed before the
-        // restart, and bills nothing
+        // hits on a prepaid scene return the labels and pixels billed
+        // before the restart, and bill nothing
         let hit = svc.capture(&request(Heading::ALL[0])).unwrap();
-        assert_eq!(hit.response.image, billed[0].response.image);
         assert_eq!(hit.objects, billed[0].objects);
+        assert_eq!(svc.fetch(&request(Heading::ALL[0])).unwrap().image, pixels);
         assert_eq!(svc.usage().billed_images, 4);
-        assert_eq!(svc.usage().cache_hits, usage.cache_hits + 1);
+        assert_eq!(svc.usage().cache_hits, usage.cache_hits + 2);
+        assert_eq!(store.load_kind(FEE_RECORD_KIND).len(), 4);
     }
 
     #[test]
@@ -624,12 +651,16 @@ mod tests {
             .size(32)
             .build()
             .unwrap();
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.capture(&req)));
-        assert!(out.is_err(), "fully poisoned service must panic");
+        let capture = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.capture(&req)));
+        assert!(capture.is_err(), "fully poisoned service must panic");
+        let fetch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.fetch(&req)));
+        assert!(fetch.is_err(), "fully poisoned service must panic");
         let usage = svc.usage();
-        assert_eq!(usage.requests, 1, "the request was counted");
-        assert_eq!(usage.billed_images, 0, "poisoned capture is never billed");
+        assert_eq!(usage.requests, 2, "the requests were counted");
+        assert_eq!(usage.billed_images, 0, "poisoned requests are never billed");
+        assert_eq!(usage.cache_hits, 0);
         assert!(usage.fees_usd == 0.0);
+        assert_eq!(svc.peak_resident_scenes(), 0);
     }
 
     #[test]
@@ -641,10 +672,15 @@ mod tests {
             .size(32)
             .build()
             .unwrap();
+        let store = Arc::new(nbhd_journal::MemoryStore::new());
+        let svc = svc.with_billing_store(store.clone()).unwrap();
         assert!(matches!(svc.capture(&req), Err(Error::Parse(_))));
+        assert!(matches!(svc.fetch(&req), Err(Error::Parse(_))));
         let usage = svc.usage();
-        assert_eq!(usage.billed_images, 0, "corrupt capture is never billed");
+        assert_eq!(usage.requests, 2);
+        assert_eq!(usage.billed_images, 0, "corrupt scenes are never billed");
         assert!(usage.fees_usd == 0.0);
+        assert!(store.is_empty(), "no fee record is journaled");
     }
 
     #[test]
@@ -659,8 +695,12 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            svc.capture(&req).unwrap().response.image,
-            clean.capture(&req).unwrap().response.image
+            svc.capture(&req).unwrap().objects,
+            clean.capture(&req).unwrap().objects
+        );
+        assert_eq!(
+            svc.fetch(&req).unwrap().image,
+            clean.fetch(&req).unwrap().image
         );
     }
 

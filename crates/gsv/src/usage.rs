@@ -17,7 +17,7 @@ pub struct UsageMeter {
     pub requests: u64,
     /// Requests that rendered fresh imagery and were billed.
     pub billed_images: u64,
-    /// Requests for an already-billed scene: re-rendered, not billed.
+    /// Requests for an already-billed scene: served again, not billed.
     pub cache_hits: u64,
     /// Accumulated fees in USD.
     pub fees_usd: f64,

@@ -51,37 +51,158 @@ pub fn stroke_rect(img: &mut RasterImage, x: i64, y: i64, w: i64, h: i64, color:
 
 /// Draws a line of the given thickness between two points (Bresenham with a
 /// square brush).
+///
+/// The endpoints round to integers as they always have (an `f32` past the
+/// `i64` range saturates), and the pixels are those of stepping the whole
+/// path, but only the steps whose brush can reach the image are taken: the
+/// first of them is found in closed form. So any endpoints, however far off,
+/// cost at most the image's width or height plus the brush in steps. A
+/// rounded endpoint more than [`FAR`] pixels out is first clipped to that
+/// bound along the segment, in `f64`, so no step overflows.
 pub fn line(img: &mut RasterImage, a: Point, b: Point, thickness: u32, color: Rgb) {
-    let (mut x0, mut y0) = (a.x.round() as i64, a.y.round() as i64);
-    let (x1, y1) = (b.x.round() as i64, b.y.round() as i64);
+    let mut ends = [a.x, a.y, b.x, b.y].map(|v| v.round() as i64);
+    if ends.iter().any(|v| v.unsigned_abs() > FAR as u64) {
+        let [x0, y0, x1, y1] = ends.map(|v| v as f64);
+        let far = FAR as f64;
+        match clip_segment([x0, y0], [x1 - x0, y1 - y0], [(-far, far); 2]) {
+            Some((enter, exit)) => {
+                ends = [enter.1[0], enter.1[1], exit.1[0], exit.1[1]].map(|v| v.round() as i64);
+            }
+            None => return,
+        }
+    }
+    let [x0, y0, x1, y1] = ends;
     let dx = (x1 - x0).abs();
     let dy = -(y1 - y0).abs();
     let sx = if x0 < x1 { 1 } else { -1 };
     let sy = if y0 < y1 { 1 } else { -1 };
-    let mut err = dx + dy;
-    let t = thickness.max(1) as i64;
+    let t = i64::from(thickness.max(1));
     let half = t / 2;
-    loop {
-        fill_rect(img, x0 - half, y0 - half, t, t, color);
-        if x0 == x1 && y0 == y1 {
-            break;
-        }
+    // The path takes one step along its major axis per pixel. The brush at
+    // coordinate c of that axis touches the image when c lies in
+    // `half + 1 - t ..= limit - 1 + half`.
+    let x_major = dx >= -dy;
+    let (start, step, len, minor_len, limit) = if x_major {
+        (x0, sx, dx, -dy, img.width())
+    } else {
+        (y0, sy, -dy, dx, img.height())
+    };
+    let (lo, hi) = (half + 1 - t, i64::from(limit) - 1 + half);
+    let (first, last) = if step > 0 {
+        (lo - start, hi - start)
+    } else {
+        (start - hi, start - lo)
+    };
+    let (first, last) = (first.max(0), last.min(len));
+    if first > last {
+        return;
+    }
+    // The state after `first` steps: the minor-axis offset and the error
+    // term `dx * (minor + 1) + dy * (major + 1)` of Bresenham's loop.
+    let (minor, slack) = minor_at(len, minor_len, first);
+    let (mut x, mut y, mut err) = if x_major {
+        (x0 + sx * first, y0 + sy * minor, dx + dy + slack)
+    } else {
+        (x0 + sx * minor, y0 + sy * first, dx + dy - slack)
+    };
+    for _ in first..last + 1 {
+        fill_rect(img, x - half, y - half, t, t, color);
         let e2 = 2 * err;
         if e2 >= dy {
             err += dy;
-            x0 += sx;
+            x += sx;
         }
         if e2 <= dx {
             err += dx;
-            y0 += sy;
+            y += sy;
         }
     }
 }
 
+/// Rounded line endpoints farther out than this many pixels are clipped to
+/// it first: far beyond any image, and near enough that no difference or
+/// error term of the path overflows `i64`.
+const FAR: i64 = 1 << 40;
+
+/// Where Bresenham's path stands after `k` steps along a major axis of
+/// length `major`, when the minor axis has length `minor_len`: the minor
+/// offset `round_half_up(k * minor_len / major)`, and `major * offset - k *
+/// minor_len`, the part of the error term that is not constant.
+fn minor_at(major: i64, minor_len: i64, k: i64) -> (i64, i64) {
+    if k == 0 {
+        return (0, 0);
+    }
+    let product = i128::from(k) * i128::from(minor_len);
+    let (q, r) = (product / i128::from(major), product % i128::from(major));
+    let up = i128::from(2 * r >= i128::from(major));
+    ((q + up) as i64, (i128::from(major) * up - r) as i64)
+}
+
+/// One end of a clipped segment: its fraction of the whole segment, and
+/// its point.
+type ClipEnd = (f64, [f64; 2]);
+
+/// Clips the segment `start .. start + delta` to the box `bounds` (one
+/// `(lo, hi)` per axis) by Liang–Barsky, or `None` when it misses the box.
+/// Each clipped end is the point where the segment crosses a side of the
+/// box: for a far-off segment, its fraction has lost the pixels that the
+/// crossing point keeps.
+fn clip_segment(
+    start: [f64; 2],
+    delta: [f64; 2],
+    bounds: [(f64, f64); 2],
+) -> Option<(ClipEnd, ClipEnd)> {
+    let (mut enter, mut exit) = (
+        (0.0, start),
+        (1.0, [start[0] + delta[0], start[1] + delta[1]]),
+    );
+    for (axis, (lo, hi)) in bounds.into_iter().enumerate() {
+        if delta[axis] == 0.0 {
+            if !(lo..=hi).contains(&start[axis]) {
+                return None;
+            }
+            continue;
+        }
+        let cross = |side: f64| {
+            let mut point = [side; 2];
+            let other = 1 - axis;
+            point[other] = start[other] + (side - start[axis]) * (delta[other] / delta[axis]);
+            ((side - start[axis]) / delta[axis], point)
+        };
+        let (first, last) = if delta[axis] > 0.0 {
+            (cross(lo), cross(hi))
+        } else {
+            (cross(hi), cross(lo))
+        };
+        if first.0 > enter.0 {
+            enter = first;
+        }
+        if last.0 < exit.0 {
+            exit = last;
+        }
+    }
+    // rounding at a far-off start can push a crossing just off the box
+    let clamp = |(t, p): ClipEnd| {
+        (
+            t,
+            [0, 1].map(|axis| p[axis].clamp(bounds[axis].0, bounds[axis].1)),
+        )
+    };
+    (enter.0 <= exit.0).then(|| (clamp(enter), clamp(exit)))
+}
+
+/// Segments whose endpoints both lie within this many image sides of the
+/// image dash exactly as they always have; one reaching farther is clipped
+/// to that margin in `f64` first.
+const NEAR_SIDES: f32 = 4.0;
+
 /// Draws a dashed line: `dash_len` pixels on, `gap_len` pixels off.
 ///
 /// Used for lane markings, which are the detector's main cue for telling
-/// single-lane from multilane roads.
+/// single-lane from multilane roads. A segment reaching past [`NEAR_SIDES`]
+/// image sides only dashes the part near the image, so a far-off or huge
+/// one costs what a near one does; one with a non-finite endpoint draws
+/// nothing.
 pub fn dashed_line(
     img: &mut RasterImage,
     a: Point,
@@ -96,6 +217,15 @@ pub fn dashed_line(
         return;
     }
     let period = (dash_len + gap_len).max(1.0);
+    let (w, h) = (img.width() as f32, img.height() as f32);
+    let near = |p: Point| {
+        (-NEAR_SIDES * w..=(NEAR_SIDES + 1.0) * w).contains(&p.x)
+            && (-NEAR_SIDES * h..=(NEAR_SIDES + 1.0) * h).contains(&p.y)
+    };
+    if !(near(a) && near(b)) {
+        far_dashed_line(img, a, b, thickness, dash_len, period, color);
+        return;
+    }
     let dir = Point::new((b.x - a.x) / total, (b.y - a.y) / total);
     let mut s = 0.0f32;
     while s < total {
@@ -103,6 +233,47 @@ pub fn dashed_line(
         let p0 = Point::new(a.x + dir.x * s, a.y + dir.y * s);
         let p1 = Point::new(a.x + dir.x * e, a.y + dir.y * e);
         line(img, p0, p1, thickness, color);
+        s += period;
+    }
+}
+
+/// [`dashed_line`] for a segment that reaches past the near margin: in
+/// `f64`, the segment is clipped to the margin (widened by the brush), and
+/// the dashes are laid along the clipped part with the phase they have
+/// there. A dash longer than its period overlaps the next, so at most one
+/// period of it is drawn.
+fn far_dashed_line(
+    img: &mut RasterImage,
+    a: Point,
+    b: Point,
+    thickness: u32,
+    dash_len: f32,
+    period: f32,
+    color: Rgb,
+) {
+    let start = [f64::from(a.x), f64::from(a.y)];
+    let delta = [f64::from(b.x) - start[0], f64::from(b.y) - start[1]];
+    let total = delta[0].hypot(delta[1]);
+    if !total.is_finite() {
+        return;
+    }
+    let (pad, sides) = (f64::from(thickness), f64::from(NEAR_SIDES));
+    let bounds = [img.width(), img.height()].map(|side| {
+        let side = f64::from(side);
+        (-sides * side - pad, (sides + 1.0) * side + pad)
+    });
+    let Some(((t0, c0), (_, c1))) = clip_segment(start, delta, bounds) else {
+        return;
+    };
+    let len = (c1[0] - c0[0]).hypot(c1[1] - c0[1]);
+    let dir = delta.map(|d| d / total);
+    let at = |s: f64| Point::new((c0[0] + dir[0] * s) as f32, (c0[1] + dir[1] * s) as f32);
+    let period = f64::from(period);
+    let dash = f64::from(dash_len).clamp(-period, period);
+    // the last dash to start at or before the clipped start
+    let mut s = -(t0 * total).rem_euclid(period);
+    while s < len {
+        line(img, at(s), at((s + dash).min(len)), thickness, color);
         s += period;
     }
 }
@@ -321,6 +492,31 @@ mod tests {
             }
         }
 
+        pub fn dashed_line(
+            img: &mut RasterImage,
+            a: Point,
+            b: Point,
+            thickness: u32,
+            dash_len: f32,
+            gap_len: f32,
+            color: Rgb,
+        ) {
+            let total = a.distance(b);
+            if total < 1.0 {
+                return;
+            }
+            let period = (dash_len + gap_len).max(1.0);
+            let dir = Point::new((b.x - a.x) / total, (b.y - a.y) / total);
+            let mut s = 0.0f32;
+            while s < total {
+                let e = (s + dash_len).min(total);
+                let p0 = Point::new(a.x + dir.x * s, a.y + dir.y * s);
+                let p1 = Point::new(a.x + dir.x * e, a.y + dir.y * e);
+                line(img, p0, p1, thickness, color);
+                s += period;
+            }
+        }
+
         pub fn fill_disc(img: &mut RasterImage, c: Point, radius: f32, color: Rgb) {
             let r = radius.max(0.5);
             let x0 = (c.x - r).floor() as i64;
@@ -426,6 +622,7 @@ mod tests {
         Disc(Point, f32),
         Polygon(Vec<Point>),
         Line(Point, Point, u32),
+        Dashed(Point, Point, u32, f32, f32),
         Gradient(Rgb),
         Windows(i64, i64, i64, i64, u32, u32),
     }
@@ -437,6 +634,7 @@ mod tests {
                 Shape::Disc(c, r) => fill_disc(img, c, r, color),
                 Shape::Polygon(ref v) => fill_convex_polygon(img, v, color),
                 Shape::Line(a, b, t) => line(img, a, b, t, color),
+                Shape::Dashed(a, b, t, on, off) => dashed_line(img, a, b, t, on, off, color),
                 Shape::Gradient(bottom) => vertical_gradient(img, color, bottom),
                 Shape::Windows(x, y, w, h, c, r) => window_grid(img, x, y, w, h, c, r, color),
             }
@@ -448,6 +646,9 @@ mod tests {
                 Shape::Disc(c, r) => per_pixel::fill_disc(img, c, r, color),
                 Shape::Polygon(ref v) => per_pixel::fill_convex_polygon(img, v, color),
                 Shape::Line(a, b, t) => per_pixel::line(img, a, b, t, color),
+                Shape::Dashed(a, b, t, on, off) => {
+                    per_pixel::dashed_line(img, a, b, t, on, off, color)
+                }
                 Shape::Gradient(bottom) => per_pixel::vertical_gradient(img, color, bottom),
                 Shape::Windows(x, y, w, h, c, r) => {
                     per_pixel::window_grid(img, x, y, w, h, c, r, color)
@@ -567,6 +768,14 @@ mod tests {
             Shape::Line(p(-10.0, 5.0), p(40.0, 6.0), 0),
             Shape::Line(p(2.0, 0.0), p(3.0, 11.0), 5),
             Shape::Line(p(19.0, 11.0), p(19.0, 11.0), 4),
+            // dashes: shorter than a pixel, a gap-free period, a negative
+            // gap, one dash past the end, reversed, off-image
+            Shape::Dashed(p(3.0, 3.0), p(3.5, 3.2), 1, 2.0, 2.0),
+            Shape::Dashed(p(0.0, 5.0), p(19.0, 5.0), 1, 3.0, 0.0),
+            Shape::Dashed(p(0.0, 5.0), p(19.0, 9.0), 2, 4.0, -2.0),
+            Shape::Dashed(p(-8.0, -3.0), p(25.0, 14.0), 3, 40.0, 5.0),
+            Shape::Dashed(p(19.0, 11.0), p(0.0, 0.0), 1, 2.5, 1.5),
+            Shape::Dashed(p(-30.0, 40.0), p(60.0, 30.0), 2, 4.0, 4.0),
             // window grids: no columns, too small, clipped
             Shape::Windows(0, 0, 20, 12, 0, 3),
             Shape::Windows(0, 0, 3, 12, 2, 2),
@@ -576,6 +785,48 @@ mod tests {
         for shape in &shapes {
             for (w, h) in [(20, 12), (1, 1), (1, 12), (20, 1)] {
                 assert_pixel_identical(w, h, shape);
+            }
+        }
+    }
+
+    /// Lines and dashes that reach far past the image keep every pixel of
+    /// the loops that step the whole path, whose cost here is still modest.
+    #[test]
+    fn lines_and_dashes_with_far_endpoints_match_the_per_pixel_loops() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for case in 0..1500 {
+            let (w, h) = (rng.random_range(1..=40u32), rng.random_range(1..=40u32));
+            let reach = [60.0, 2e3, 3e4][case % 3];
+            let mut far = || {
+                Point::new(
+                    rng.random_range(-reach..reach + 40.0f32),
+                    rng.random_range(-reach..reach + 40.0f32),
+                )
+            };
+            let (a, b) = (far(), far());
+            let t = rng.random_range(1..=6);
+            assert_pixel_identical(w, h, &Shape::Line(a, b, t));
+            // dashes keep their pixels while both ends are near the image
+            let near = |p: Point| {
+                let (w, h) = (w as f32, h as f32);
+                p.x >= -4.0 * w && p.x <= 5.0 * w && p.y >= -4.0 * h && p.y <= 5.0 * h
+            };
+            if near(a) && near(b) {
+                let on = rng.random_range(0.5..12.0f32);
+                let off = rng.random_range(-2.0..12.0f32);
+                assert_pixel_identical(w, h, &Shape::Dashed(a, b, t, on, off));
+            }
+        }
+        // a million pixels out, on each side and through the image
+        let p = Point::new;
+        for (a, b) in [
+            (p(-1e6, -1e6 + 3.0), p(1e6, 1e6 - 7.0)),
+            (p(12.0, -1e6), p(5.0, 1e6)),
+            (p(-1e6, 4.0), p(3e5, 9.0)),
+        ] {
+            for t in [1, 3] {
+                assert_pixel_identical(24, 18, &Shape::Line(a, b, t));
+                assert_pixel_identical(24, 18, &Shape::Line(b, a, t));
             }
         }
     }
@@ -627,7 +878,68 @@ mod tests {
             for shape in &shapes {
                 assert_pixel_identical(24, 18, shape);
             }
+            let row = |y: u32| (0..24).map(|x| (x, y)).collect::<Vec<_>>();
+            let column = |x: u32| (0..18).map(|y| (x, y)).collect::<Vec<_>>();
+            // endpoints that saturate i64, whose differences overflow it
+            assert_eq!(
+                painted(&Shape::Line(p(-1e30, 9.0), p(1e30, 9.0), 1)),
+                row(9)
+            );
+            assert_eq!(
+                painted(&Shape::Line(p(5.0, 1e30), p(5.0, -1e30), 1)),
+                column(5)
+            );
+            assert_eq!(
+                painted(&Shape::Line(p(-f32::MAX, 2.0), p(f32::INFINITY, 2.0), 1)),
+                row(2)
+            );
+            assert!(painted(&Shape::Line(p(-1e30, -1e30), p(1e30, 1e30), 2)).len() > 18);
+            assert!(painted(&Shape::Line(p(-1e30, 3.0), p(1e30, 1e20), 1)).len() <= 24);
+            let _ = painted(&Shape::Line(
+                p(f32::NAN, 3.0),
+                p(f32::NEG_INFINITY, f32::NAN),
+                3,
+            ));
+            // a dash period past 2^24 of total length, where `s + period`
+            // no longer moves in f32, and one far longer still
+            for (a, b) in [
+                (p(-2e8, 7.0), p(2e8, 7.0)),
+                (p(-1e30, 7.0), p(1e30, 7.0)),
+                (p(3e9, 7.0), p(-3e9, 7.0)),
+            ] {
+                let dashes = painted(&Shape::Dashed(a, b, 1, 4.0, 4.0));
+                assert!(dashes.iter().all(|&(_, y)| y == 7), "{dashes:?}");
+                assert!((8..24).contains(&dashes.len()), "{a:?} {dashes:?}");
+            }
+            // huge dashes and periods, far off the image, or never near it
+            let _ = painted(&Shape::Dashed(p(-1e30, 7.0), p(1e30, 9.0), 2, 1e30, -1e30));
+            let _ = painted(&Shape::Dashed(
+                p(-1e30, 7.0),
+                p(1e30, 9.0),
+                2,
+                f32::NAN,
+                1.0,
+            ));
+            assert!(painted(&Shape::Dashed(p(-1e9, -5e3), p(1e9, -5e3), 4, 2.0, 1.0)).is_empty());
+            // a non-finite endpoint draws nothing
+            for (a, b) in [
+                (p(f32::NEG_INFINITY, 7.0), p(f32::INFINITY, 7.0)),
+                (p(0.0, 7.0), p(f32::INFINITY, 7.0)),
+                (p(f32::NAN, 7.0), p(20.0, 7.0)),
+            ] {
+                assert!(painted(&Shape::Dashed(a, b, 1, 4.0, 4.0)).is_empty());
+            }
         });
+    }
+
+    /// Draws `shape` on a blank 24x18 image and returns the painted pixels.
+    fn painted(shape: &Shape) -> Vec<(u32, u32)> {
+        let mut img = RasterImage::new(24, 18);
+        shape.draw(&mut img, Rgb::WHITE);
+        (0..18)
+            .flat_map(|y| (0..24).map(move |x| (x, y)))
+            .filter(|&(x, y)| img.get(x, y) == Rgb::WHITE)
+            .collect()
     }
 
     fn count_color(img: &RasterImage, c: Rgb) -> usize {

@@ -42,7 +42,7 @@ mod spec;
 mod visibility;
 
 pub use compose::{view_kind, SceneGenerator};
-pub use render::{render, DEFAULT_SIZE};
+pub use render::{labels, render, DEFAULT_SIZE};
 pub use spec::{
     corrupt_spec, BuildingKind, BuildingView, PowerlineView, RoadView, SceneSpec, Side,
     SidewalkView, StreetlightView, TreeView, VehicleView, ViewKind,

@@ -28,7 +28,8 @@ const ROAD_EDGE: f32 = 0.05;
 ///
 /// Returns the image and the ground-truth object labels (boxes smaller than
 /// 3 px in either dimension after clamping are dropped, mirroring how tiny
-/// slivers go unlabeled by human annotators).
+/// slivers go unlabeled by human annotators). The labels are exactly
+/// [`labels`] of the same spec and size.
 ///
 /// # Examples
 ///
@@ -52,27 +53,91 @@ const ROAD_EDGE: f32 = 0.05;
 /// );
 /// ```
 pub fn render(spec: &SceneSpec, size: u32) -> (RasterImage, Vec<ObjectLabel>) {
-    let mut canvas = Canvas {
-        img: RasterImage::new(size, size),
-        labels: Vec::new(),
-        g: Geom {
-            s: size as f32,
-            lighting: spec.lighting,
-            haze: spec.haze,
-        },
+    let mut img = RasterImage::new(size, size);
+    let labels = draw_scene(spec, size, Some(&mut img));
+    (img, labels)
+}
+
+/// The ground-truth object labels of [`render`] at `size x size` pixels,
+/// without painting a pixel.
+///
+/// It runs the renderer's own pass with no image to paint into, so the
+/// boxes are bit-identical to `render(spec, size).1` and cost a small
+/// fraction of a render: billing and labeling a scene never rasterize it.
+///
+/// # Examples
+///
+/// ```
+/// use nbhd_geo::{RoadClass, Zoning};
+/// use nbhd_scene::{labels, render, SceneGenerator, ViewKind};
+/// use nbhd_types::{Heading, ImageId, LocationId};
+///
+/// let spec = SceneGenerator::new(1).compose_raw(
+///     ImageId::new(LocationId(0), Heading::North),
+///     Zoning::Urban,
+///     RoadClass::Multilane,
+///     ViewKind::AlongRoad,
+/// );
+/// assert_eq!(labels(&spec, 160), render(&spec, 160).1);
+/// ```
+pub fn labels(spec: &SceneSpec, size: u32) -> Vec<ObjectLabel> {
+    draw_scene(spec, size, None)
+}
+
+/// The one painter's pass behind [`render`] and [`labels`]: it emits every
+/// label and paints only when handed an image.
+fn draw_scene(spec: &SceneSpec, size: u32, img: Option<&mut RasterImage>) -> Vec<ObjectLabel> {
+    let g = Geom {
+        s: size as f32,
+        lighting: spec.lighting,
+        haze: spec.haze,
     };
-    canvas.sky();
-    canvas.ground(spec.zone);
+    let mut canvas = Canvas {
+        img,
+        labels: Vec::new(),
+        g,
+    };
+    canvas.paint(|img| {
+        sky(img, g);
+        ground(img, g, spec.zone);
+    });
     match spec.view {
         ViewKind::AlongRoad => canvas.along_view(spec),
         ViewKind::AcrossRoad => canvas.across_view(spec),
     }
-    let labels = canvas.finish_labels(size);
-    (canvas.img, labels)
+    canvas.finish_labels(size)
 }
 
-struct Canvas {
-    img: RasterImage,
+/// Fills the sky band with its vertical gradient.
+fn sky(img: &mut RasterImage, g: Geom) {
+    let top = g.lit(Rgb::new(140, 180, 228));
+    let low = g.lit(Rgb::new(200, 216, 235));
+    let h = (g.s * HORIZON) as u32;
+    let width = i64::from(img.width());
+    for y in 0..h.min(img.height()) {
+        let t = y as f32 / h.max(1) as f32;
+        let c = top.lerp(low, t);
+        draw::fill_rect(img, 0, i64::from(y), width, 1, c);
+    }
+}
+
+/// Fills everything below the horizon with the zone's ground colour.
+fn ground(img: &mut RasterImage, g: Geom, zone: Zoning) {
+    let base = match zone {
+        Zoning::Urban => Rgb::new(126, 130, 116),
+        Zoning::Suburban => Rgb::new(108, 136, 92),
+        Zoning::Rural => Rgb::new(96, 142, 82),
+    };
+    let c = g.lit(base);
+    let y0 = i64::from((g.s * HORIZON) as u32);
+    let (w, h) = (i64::from(img.width()), i64::from(img.height()));
+    draw::fill_rect(img, 0, y0, w, h - y0, c);
+}
+
+/// The painter's state: the labels emitted so far, and the image to paint
+/// into, if any.
+struct Canvas<'a> {
+    img: Option<&'a mut RasterImage>,
     labels: Vec<ObjectLabel>,
     g: Geom,
 }
@@ -127,7 +192,36 @@ impl Geom {
     }
 }
 
-impl Canvas {
+impl Canvas<'_> {
+    /// Runs `draw` on the image when the canvas holds one; a label-only
+    /// pass skips it, and with it every primitive's clamping and fill. The
+    /// painter draws only through this and the primitives below.
+    fn paint(&mut self, draw: impl FnOnce(&mut RasterImage)) {
+        if let Some(img) = self.img.as_deref_mut() {
+            draw(img);
+        }
+    }
+
+    fn fill_rect(&mut self, x: i64, y: i64, w: i64, h: i64, color: Rgb) {
+        self.paint(|img| draw::fill_rect(img, x, y, w, h, color));
+    }
+
+    fn fill_polygon(&mut self, vertices: &[Point], color: Rgb) {
+        self.paint(|img| draw::fill_convex_polygon(img, vertices, color));
+    }
+
+    fn fill_disc(&mut self, c: Point, radius: f32, color: Rgb) {
+        self.paint(|img| draw::fill_disc(img, c, radius, color));
+    }
+
+    fn line(&mut self, a: Point, b: Point, thickness: u32, color: Rgb) {
+        self.paint(|img| draw::line(img, a, b, thickness, color));
+    }
+
+    fn dashed_line(&mut self, a: Point, b: Point, thickness: u32, dash: f32, gap: f32, color: Rgb) {
+        self.paint(|img| draw::dashed_line(img, a, b, thickness, dash, gap, color));
+    }
+
     fn label(&mut self, indicator: Indicator, bbox: BBox) {
         self.labels.push(ObjectLabel::new(indicator, bbox));
     }
@@ -143,32 +237,6 @@ impl Canvas {
                 Some(ObjectLabel::new(l.indicator, clamped))
             })
             .collect()
-    }
-
-    fn sky(&mut self) {
-        let g = self.g;
-        let top = g.lit(Rgb::new(140, 180, 228));
-        let low = g.lit(Rgb::new(200, 216, 235));
-        let h = (g.s * HORIZON) as u32;
-        let width = i64::from(self.img.width());
-        for y in 0..h.min(self.img.height()) {
-            let t = y as f32 / h.max(1) as f32;
-            let c = top.lerp(low, t);
-            draw::fill_rect(&mut self.img, 0, i64::from(y), width, 1, c);
-        }
-    }
-
-    fn ground(&mut self, zone: Zoning) {
-        let g = self.g;
-        let base = match zone {
-            Zoning::Urban => Rgb::new(126, 130, 116),
-            Zoning::Suburban => Rgb::new(108, 136, 92),
-            Zoning::Rural => Rgb::new(96, 142, 82),
-        };
-        let c = g.lit(base);
-        let y0 = i64::from((g.s * HORIZON) as u32);
-        let (w, h) = (i64::from(self.img.width()), i64::from(self.img.height()));
-        draw::fill_rect(&mut self.img, 0, y0, w, h - y0, c);
     }
 
     fn along_view(&mut self, spec: &SceneSpec) {
@@ -187,12 +255,10 @@ impl Canvas {
         if let Some(pl) = &spec.powerline {
             self.along_powerline(pl);
         }
-        let lights = spec.streetlights.clone();
-        for sl in &lights {
+        for sl in &spec.streetlights {
             self.along_streetlight(sl);
         }
-        let vehicles = spec.vehicles.clone();
-        for v in &vehicles {
+        for v in &spec.vehicles {
             self.along_vehicle(v);
         }
     }
@@ -207,21 +273,19 @@ impl Canvas {
             Point::new(g.road_right(t_far), g.ground_y(t_far)),
             Point::new(g.road_left(t_far), g.ground_y(t_far)),
         ];
-        draw::fill_convex_polygon(&mut self.img, &quad, asphalt);
+        self.fill_polygon(&quad, asphalt);
 
         // Edge lines.
         let white = g.lit(Rgb::gray(225));
         let yellow = g.lit(Rgb::new(214, 186, 64));
         let edge_t = (g.s / 320.0).max(1.0) as u32;
-        draw::line(
-            &mut self.img,
+        self.line(
             Point::new(g.road_left(0.0) + 2.0, g.ground_y(0.0)),
             Point::new(g.road_left(t_far) + 1.0, g.ground_y(t_far)),
             edge_t,
             white,
         );
-        draw::line(
-            &mut self.img,
+        self.line(
             Point::new(g.road_right(0.0) - 2.0, g.ground_y(0.0)),
             Point::new(g.road_right(t_far) - 1.0, g.ground_y(t_far)),
             edge_t,
@@ -233,8 +297,7 @@ impl Canvas {
         let center1 = (g.road_left(t_far) + g.road_right(t_far)) / 2.0;
         match class {
             RoadClass::SingleLane => {
-                draw::dashed_line(
-                    &mut self.img,
+                self.dashed_line(
                     Point::new(center0, g.ground_y(0.0)),
                     Point::new(center1, g.ground_y(t_far)),
                     edge_t,
@@ -245,15 +308,13 @@ impl Canvas {
             }
             RoadClass::Multilane => {
                 // double yellow divider
-                draw::line(
-                    &mut self.img,
+                self.line(
                     Point::new(center0 - 2.0, g.ground_y(0.0)),
                     Point::new(center1 - 1.0, g.ground_y(t_far)),
                     edge_t,
                     yellow,
                 );
-                draw::line(
-                    &mut self.img,
+                self.line(
                     Point::new(center0 + 2.0, g.ground_y(0.0)),
                     Point::new(center1 + 1.0, g.ground_y(t_far)),
                     edge_t,
@@ -263,8 +324,7 @@ impl Canvas {
                 for frac in [0.25f32, 0.75] {
                     let x0 = g.road_left(0.0) + frac * (g.road_right(0.0) - g.road_left(0.0));
                     let x1 = g.road_left(t_far) + frac * (g.road_right(t_far) - g.road_left(t_far));
-                    draw::dashed_line(
-                        &mut self.img,
+                    self.dashed_line(
                         Point::new(x0, g.ground_y(0.0)),
                         Point::new(x1, g.ground_y(t_far)),
                         edge_t,
@@ -307,7 +367,7 @@ impl Canvas {
                 Point::new(g.road_left(t_far) - 0.018 * g.s, g.ground_y(t_far)),
             ],
         };
-        draw::fill_convex_polygon(&mut self.img, &quad, c);
+        self.fill_polygon(&quad, c);
         // expansion-joint ticks give the strip a texture signature
         let tick = g.lit(Rgb::gray(140));
         for i in 0..10 {
@@ -323,10 +383,10 @@ impl Canvas {
                 ),
             };
             let y = g.ground_y(t);
-            draw::line(&mut self.img, Point::new(x0, y), Point::new(x1, y), 1, tick);
+            self.line(Point::new(x0, y), Point::new(x1, y), 1, tick);
         }
-        let xs: Vec<f32> = quad.iter().map(|p| p.x).collect();
-        let ys: Vec<f32> = quad.iter().map(|p| p.y).collect();
+        let xs = quad.map(|p| p.x);
+        let ys = quad.map(|p| p.y);
         self.label(
             Indicator::Sidewalk,
             BBox::from_corners(
@@ -369,30 +429,24 @@ impl Canvas {
         let facade = g.shade(palette_color(b.palette), b.depth);
         let window = g.shade(Rgb::new(58, 70, 92), b.depth);
         let top_y = base_y - h;
-        draw::fill_rect(
-            &mut self.img,
-            x as i64,
-            top_y as i64,
-            w as i64,
-            h as i64,
-            facade,
-        );
+        self.fill_rect(x as i64, top_y as i64, w as i64, h as i64, facade);
         match b.kind {
             BuildingKind::Apartment => {
                 let cols = ((w / story_h).round() as u32).clamp(3, 8);
-                draw::window_grid(
-                    &mut self.img,
-                    x as i64,
-                    top_y as i64,
-                    w as i64,
-                    h as i64,
-                    cols,
-                    b.stories as u32,
-                    window,
-                );
+                self.paint(|img| {
+                    draw::window_grid(
+                        img,
+                        x as i64,
+                        top_y as i64,
+                        w as i64,
+                        h as i64,
+                        cols,
+                        b.stories as u32,
+                        window,
+                    )
+                });
                 // flat parapet line
-                draw::fill_rect(
-                    &mut self.img,
+                self.fill_rect(
                     x as i64 - 1,
                     top_y as i64 - 2,
                     w as i64 + 2,
@@ -404,8 +458,7 @@ impl Canvas {
             BuildingKind::House => {
                 // pitched roof
                 let roof = g.shade(Rgb::new(96, 70, 58), b.depth);
-                draw::fill_convex_polygon(
-                    &mut self.img,
+                self.fill_polygon(
                     &[
                         Point::new(x - w * 0.08, top_y),
                         Point::new(x + w / 2.0, top_y - h * 0.45),
@@ -414,16 +467,14 @@ impl Canvas {
                     roof,
                 );
                 // door and one or two windows
-                draw::fill_rect(
-                    &mut self.img,
+                self.fill_rect(
                     (x + w * 0.42) as i64,
                     (base_y - h * 0.55) as i64,
                     (w * 0.16).max(1.0) as i64,
                     (h * 0.55) as i64,
                     g.shade(Rgb::new(80, 56, 40), b.depth),
                 );
-                draw::fill_rect(
-                    &mut self.img,
+                self.fill_rect(
                     (x + w * 0.12) as i64,
                     (base_y - h * 0.65) as i64,
                     (w * 0.18).max(1.0) as i64,
@@ -433,16 +484,14 @@ impl Canvas {
             }
             BuildingKind::Shop => {
                 // storefront band along the bottom story
-                draw::fill_rect(
-                    &mut self.img,
+                self.fill_rect(
                     x as i64,
                     (base_y - story_h) as i64,
                     w as i64,
                     story_h as i64,
                     g.shade(Rgb::new(70, 84, 110), b.depth),
                 );
-                draw::fill_rect(
-                    &mut self.img,
+                self.fill_rect(
                     x as i64,
                     (base_y - h) as i64 - 2,
                     w as i64,
@@ -466,27 +515,19 @@ impl Canvas {
         let trunk = g.shade(Rgb::new(84, 62, 44), t.depth);
         let canopy = g.shade(Rgb::new(56, 108, 52), t.depth);
         let h = t.size * scale * g.s;
-        draw::line(
-            &mut self.img,
+        self.line(
             Point::new(x, base_y),
             Point::new(x, base_y - h * 0.55),
             ((0.012 * scale * g.s) as u32).max(1),
             trunk,
         );
-        draw::fill_disc(
-            &mut self.img,
-            Point::new(x, base_y - h * 0.70),
-            h * 0.34,
-            canopy,
-        );
-        draw::fill_disc(
-            &mut self.img,
+        self.fill_disc(Point::new(x, base_y - h * 0.70), h * 0.34, canopy);
+        self.fill_disc(
             Point::new(x - h * 0.18, base_y - h * 0.58),
             h * 0.22,
             canopy,
         );
-        draw::fill_disc(
-            &mut self.img,
+        self.fill_disc(
             Point::new(x + h * 0.18, base_y - h * 0.60),
             h * 0.24,
             canopy,
@@ -506,8 +547,7 @@ impl Canvas {
             let base_y = g.ground_y(depth);
             let top_y = base_y - 0.52 * scale * g.s;
             let thickness = ((0.010 * scale * g.s) as u32).max(1);
-            draw::line(
-                &mut self.img,
+            self.line(
                 Point::new(x, base_y),
                 Point::new(x, top_y),
                 thickness,
@@ -515,8 +555,7 @@ impl Canvas {
             );
             // crossarm
             let arm = 0.05 * scale * g.s;
-            draw::line(
-                &mut self.img,
+            self.line(
                 Point::new(x - arm, top_y + 0.02 * scale * g.s),
                 Point::new(x + arm, top_y + 0.02 * scale * g.s),
                 thickness,
@@ -535,8 +574,8 @@ impl Canvas {
                 let a = Point::new(w[0].x, w[0].y + off);
                 let b = Point::new(w[1].x, w[1].y + off);
                 let mid = Point::new((a.x + b.x) / 2.0, (a.y + b.y) / 2.0 + 0.012 * g.s);
-                draw::line(&mut self.img, a, mid, 1, wire);
-                draw::line(&mut self.img, mid, b, 1, wire);
+                self.line(a, mid, 1, wire);
+                self.line(mid, b, 1, wire);
                 min_y = min_y.min(a.y.min(b.y));
                 max_y = max_y.max(mid.y);
             }
@@ -572,20 +611,13 @@ impl Canvas {
         let h = sl.height * scale * g.s;
         let top_y = base_y - h;
         let thickness = ((0.008 * scale * g.s) as u32).max(1);
-        draw::line(
-            &mut self.img,
-            Point::new(x, base_y),
-            Point::new(x, top_y),
-            thickness,
-            pole,
-        );
+        self.line(Point::new(x, base_y), Point::new(x, top_y), thickness, pole);
         // mast arm curving over the road
         let arm_dx = match sl.side {
             Side::Left => 0.055 * scale * g.s,
             Side::Right => -0.055 * scale * g.s,
         };
-        draw::line(
-            &mut self.img,
+        self.line(
             Point::new(x, top_y),
             Point::new(x + arm_dx, top_y - 0.012 * scale * g.s),
             thickness,
@@ -593,7 +625,7 @@ impl Canvas {
         );
         let lamp_r = (0.011 * scale * g.s).max(1.2);
         let lamp_c = Point::new(x + arm_dx, top_y - 0.012 * scale * g.s + lamp_r);
-        draw::fill_disc(&mut self.img, lamp_c, lamp_r, lamp);
+        self.fill_disc(lamp_c, lamp_r, lamp);
         let left = (x.min(x + arm_dx)) - lamp_r;
         let right = (x.max(x + arm_dx)) + lamp_r;
         self.label(
@@ -621,8 +653,7 @@ impl Canvas {
         let dark = g.lit(Rgb::gray(30));
         let w = 0.085 * scale * g.s;
         let h = 0.055 * scale * g.s;
-        draw::fill_rect(
-            &mut self.img,
+        self.fill_rect(
             (cx - w / 2.0) as i64,
             (base_y - h) as i64,
             w as i64,
@@ -630,8 +661,7 @@ impl Canvas {
             body,
         );
         // cabin
-        draw::fill_rect(
-            &mut self.img,
+        self.fill_rect(
             (cx - w * 0.28) as i64,
             (base_y - h * 1.25) as i64,
             (w * 0.56) as i64,
@@ -639,18 +669,8 @@ impl Canvas {
             body.scaled(0.8),
         );
         // wheels
-        draw::fill_disc(
-            &mut self.img,
-            Point::new(cx - w * 0.3, base_y - h * 0.12),
-            h * 0.17,
-            dark,
-        );
-        draw::fill_disc(
-            &mut self.img,
-            Point::new(cx + w * 0.3, base_y - h * 0.12),
-            h * 0.17,
-            dark,
-        );
+        self.fill_disc(Point::new(cx - w * 0.3, base_y - h * 0.12), h * 0.17, dark);
+        self.fill_disc(Point::new(cx + w * 0.3, base_y - h * 0.12), h * 0.17, dark);
     }
 
     // ---- across-road view ----------------------------------------------
@@ -674,13 +694,11 @@ impl Canvas {
         if let Some(pl) = &spec.powerline {
             self.across_powerline(pl);
         }
-        let lights = spec.streetlights.clone();
-        for sl in &lights {
+        for sl in &spec.streetlights {
             let x = (0.12 + 0.76 * sl.depth) * g.s;
             self.streetlight_common(sl, x, 0.86 * g.s, 0.9);
         }
-        let vehicles = spec.vehicles.clone();
-        for v in &vehicles {
+        for v in &spec.vehicles {
             if spec.road.is_some() {
                 let cx = (0.1 + 0.8 * v.depth) * g.s;
                 self.vehicle_common(v, cx, 0.97 * g.s, 0.8);
@@ -693,21 +711,13 @@ impl Canvas {
         let asphalt = g.lit(Rgb::gray(74));
         let band_h = (0.30 * visible_frac.clamp(0.1, 1.0)) * g.s;
         let top = g.s - band_h;
-        draw::fill_rect(
-            &mut self.img,
-            0,
-            top as i64,
-            g.s as i64,
-            band_h as i64 + 1,
-            asphalt,
-        );
+        self.fill_rect(0, top as i64, g.s as i64, band_h as i64 + 1, asphalt);
         let yellow = g.lit(Rgb::new(214, 186, 64));
         let white = g.lit(Rgb::gray(225));
         let mid = top + band_h * 0.45;
         match class {
             RoadClass::SingleLane => {
-                draw::dashed_line(
-                    &mut self.img,
+                self.dashed_line(
                     Point::new(0.0, mid),
                     Point::new(g.s, mid),
                     ((g.s / 300.0) as u32).max(1),
@@ -717,22 +727,19 @@ impl Canvas {
                 );
             }
             RoadClass::Multilane => {
-                draw::line(
-                    &mut self.img,
+                self.line(
                     Point::new(0.0, mid - 2.0),
                     Point::new(g.s, mid - 2.0),
                     1,
                     yellow,
                 );
-                draw::line(
-                    &mut self.img,
+                self.line(
                     Point::new(0.0, mid + 2.0),
                     Point::new(g.s, mid + 2.0),
                     1,
                     yellow,
                 );
-                draw::dashed_line(
-                    &mut self.img,
+                self.dashed_line(
                     Point::new(0.0, top + band_h * 0.72),
                     Point::new(g.s, top + band_h * 0.72),
                     1,
@@ -755,17 +762,11 @@ impl Canvas {
         let h = 0.055 * g.s;
         let top = g.s * 0.70;
         let w = g.s * clear_frac.clamp(0.3, 1.0);
-        draw::fill_rect(&mut self.img, 0, top as i64, w as i64, h as i64, c);
+        self.fill_rect(0, top as i64, w as i64, h as i64, c);
         let tick = g.lit(Rgb::gray(140));
         let mut x = 0.0f32;
         while x < w {
-            draw::line(
-                &mut self.img,
-                Point::new(x, top),
-                Point::new(x, top + h),
-                1,
-                tick,
-            );
+            self.line(Point::new(x, top), Point::new(x, top + h), 1, tick);
             x += g.s * 0.07;
         }
         self.label(Indicator::Sidewalk, BBox::new(0.0, top, w, h));
@@ -790,16 +791,14 @@ impl Canvas {
         let mut min_y = f32::INFINITY;
         for (i, &d) in pl.pole_depths.iter().enumerate() {
             let x = (0.15 + 0.7 * d) * g.s + i as f32 * 0.02 * g.s;
-            draw::line(
-                &mut self.img,
+            self.line(
                 Point::new(x, base_y),
                 Point::new(x, wire_y),
                 ((0.010 * g.s) as u32).max(1),
                 pole_c,
             );
             let arm = 0.06 * g.s;
-            draw::line(
-                &mut self.img,
+            self.line(
                 Point::new(x - arm, wire_y + 0.015 * g.s),
                 Point::new(x + arm, wire_y + 0.015 * g.s),
                 ((0.008 * g.s) as u32).max(1),
@@ -810,8 +809,8 @@ impl Canvas {
             let y = wire_y + k as f32 * 0.016 * g.s;
             let sag = 0.018 * g.s;
             let mid = Point::new(g.s / 2.0, y + sag);
-            draw::line(&mut self.img, Point::new(0.0, y), mid, 1, wire);
-            draw::line(&mut self.img, mid, Point::new(g.s, y), 1, wire);
+            self.line(Point::new(0.0, y), mid, 1, wire);
+            self.line(mid, Point::new(g.s, y), 1, wire);
             min_y = min_y.min(y);
         }
         self.label(
@@ -991,17 +990,9 @@ mod tests {
         }
     }
 
-    /// Pins the renderer's output, pixel for pixel and label for label, to
-    /// the per-pixel rasterizer it replaced: one hash per size over a fixed
-    /// list of scenes that crosses every zoning, road class and view.
-    #[test]
-    fn golden_renders_are_pixel_identical() {
-        // recorded with the per-pixel rasterizer
-        const GOLDEN: [(u32, u64); 3] = [
-            (64, 0x1d57_f906_fd3d_0834),
-            (160, 0x9192_abf5_7695_83f7),
-            (640, 0x9e82_dabb_d433_f553),
-        ];
+    /// The 24 scenes of the golden hashes: every zoning, road class, view
+    /// and two headings.
+    fn golden_specs() -> Vec<SceneSpec> {
         let generator = SceneGenerator::new(2025);
         let mut specs = Vec::new();
         let zones = [Zoning::Urban, Zoning::Suburban, Zoning::Rural];
@@ -1015,9 +1006,69 @@ mod tests {
                 }
             }
         }
+        specs
+    }
+
+    /// Compares label boxes bit for bit, so `-0.0` and `0.0` differ.
+    fn label_bits(labels: &[ObjectLabel]) -> Vec<(Indicator, [u32; 4])> {
+        labels
+            .iter()
+            .map(|l| {
+                let b = l.bbox;
+                (l.indicator, [b.x, b.y, b.w, b.h].map(f32::to_bits))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn labels_are_the_render_labels_on_the_golden_scenes() {
+        let specs = golden_specs();
+        assert_eq!(specs.len(), 24);
+        for size in [64, 160, 640] {
+            for s in &specs {
+                assert_eq!(
+                    label_bits(&labels(s, size)),
+                    label_bits(&render(s, size).1),
+                    "{:?} at {size} px",
+                    s.image
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn labels_are_the_render_labels_on_corrupted_scenes() {
+        // `corrupt_spec` breaks lighting, haze, road or powerline fields;
+        // the service rejects all of them before either pass runs, but the
+        // two passes must still agree on whatever they are handed
+        for (i, clean) in golden_specs().iter().enumerate() {
+            for seed in 0..8u64 {
+                let mut s = clean.clone();
+                crate::corrupt_spec(&mut s, 100 * i as u64 + seed);
+                assert_eq!(
+                    label_bits(&labels(&s, 96)),
+                    label_bits(&render(&s, 96).1),
+                    "{:?} corrupted with seed {seed}",
+                    s.image
+                );
+            }
+        }
+    }
+
+    /// Pins the renderer's output, pixel for pixel and label for label, to
+    /// the per-pixel rasterizer it replaced: one hash per size over a fixed
+    /// list of scenes that crosses every zoning, road class and view.
+    #[test]
+    fn golden_renders_are_pixel_identical() {
+        // recorded with the per-pixel rasterizer
+        const GOLDEN: [(u32, u64); 3] = [
+            (64, 0x1d57_f906_fd3d_0834),
+            (160, 0x9192_abf5_7695_83f7),
+            (640, 0x9e82_dabb_d433_f553),
+        ];
         for (size, expected) in GOLDEN {
             let mut hash = 0xcbf2_9ce4_8422_2325u64;
-            for s in &specs {
+            for s in &golden_specs() {
                 let (img, labels) = render(s, size);
                 for p in img.pixels() {
                     fnv1a(&mut hash, &[p.r, p.g, p.b]);

@@ -1,7 +1,7 @@
 //! Property-based tests over the scene composer and renderer.
 
 use nbhd_geo::{RoadClass, Zoning};
-use nbhd_scene::{render, scene_evidence, SceneGenerator, ViewKind};
+use nbhd_scene::{labels, render, scene_evidence, SceneGenerator, ViewKind};
 use nbhd_types::{Heading, ImageId, IndicatorSet, LocationId};
 use proptest::prelude::*;
 
@@ -40,6 +40,24 @@ proptest! {
         prop_assert_eq!(img.size(), (96, 96));
         let labeled: IndicatorSet = labels.iter().map(|l| l.indicator).collect();
         prop_assert_eq!(labeled, spec.presence());
+    }
+
+    #[test]
+    fn label_pass_matches_the_render_labels((seed, loc, zone, class, view, heading) in arb_inputs()) {
+        let spec = SceneGenerator::new(seed).compose_raw(
+            ImageId::new(LocationId(loc), heading),
+            zone,
+            class,
+            view,
+        );
+        for size in [16, 160, 640] {
+            let bits = |l: &nbhd_types::ObjectLabel| {
+                (l.indicator, [l.bbox.x, l.bbox.y, l.bbox.w, l.bbox.h].map(f32::to_bits))
+            };
+            let painted: Vec<_> = render(&spec, size).1.iter().map(bits).collect();
+            let labeled: Vec<_> = labels(&spec, size).iter().map(bits).collect();
+            prop_assert_eq!(labeled, painted);
+        }
     }
 
     #[test]
