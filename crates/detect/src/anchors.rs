@@ -255,8 +255,8 @@ impl AnchorSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::RunPool;
-    use crate::{FeatureMap, IntegralChannels};
+    use crate::detector::ScanPlan;
+    use crate::{Detector, DetectorConfig, FeatureMap, IntegralChannels};
 
     #[test]
     fn every_class_has_anchors() {
@@ -391,15 +391,11 @@ mod tests {
         let rects = |size: u32, shrink: u32| {
             let img = nbhd_raster::RasterImage::filled(size, size, nbhd_raster::Rgb::gray(90));
             let integral = IntegralChannels::new(&FeatureMap::compute(&img, shrink));
-            let mut pool = RunPool::default();
-            let mut rects = 0;
-            for ind in Indicator::ALL {
-                for run in AnchorSet::for_class(ind).runs(size, shrink) {
-                    pool.pool(&integral, &run);
-                    rects += pool.rects();
-                }
-            }
-            rects
+            let detector = Detector::untrained(DetectorConfig {
+                shrink,
+                ..DetectorConfig::default()
+            });
+            ScanPlan::new(&detector, &integral, size).rects()
         };
         assert_eq!(rects(160, 4), 93_672);
         assert_eq!(rects(640, 8), 305_199);

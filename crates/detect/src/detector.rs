@@ -1,11 +1,14 @@
 //! The trained detector: per-class linear scorers over channel features.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use nbhd_raster::RasterImage;
 use nbhd_types::rng::sigmoid;
 use nbhd_types::{BBox, Error, Indicator, IndicatorMap, IndicatorSet, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::features::{RunPool, LANES};
+use crate::features::{PlannedRun, RunPool, LANES};
 use crate::{nms, AnchorSet, Detection, FeatureMap, IntegralChannels, FEATURE_DIM};
 
 /// A per-class mixture of linear scorers, one per anchor template, so that
@@ -92,16 +95,40 @@ impl ClassScorer {
         sigmoid(self.margin(features) as f64) as f32
     }
 
-    /// One SGD step on a logistic-loss example.
+    /// One SGD step on a logistic-loss example: every weight moves by
+    /// `lr * (g * f + l2 * w)` with `g = p - label`.
+    ///
+    /// A subnormal `g` (a confidently right example) makes every `g * f` a
+    /// slow subnormal product, yet most of them cannot reach the sum: with
+    /// `|g| < 2^-126` and `|f| <= 32`, `|g * f| < 2^-121`, under a quarter
+    /// ulp of any `l2 * w` with `|l2 * w| >= 2^-90`, so the sum rounds to
+    /// `l2 * w` exactly; and `f == 0` makes the product a zero whose sign
+    /// is that of `g` times that of `f`. Those lanes take a zero of `g`'s
+    /// sign times `f` instead, which gives the same bits. Every other lane
+    /// keeps the exact product.
     pub fn sgd_step(&mut self, features: &[f32], label: f32, lr: f32, l2: f32) {
         let p = self.score(features);
         let g = p - label;
-        for (w, f) in self.weights.iter_mut().zip(features) {
-            *w -= lr * (g * f + l2 * *w);
+        if g.is_subnormal() {
+            let zero = 0.0f32.copysign(g);
+            for (w, &f) in self.weights.iter_mut().zip(features) {
+                let decay = l2 * *w;
+                let cannot_reach = f == 0.0 || (decay.abs() >= L2W_FLOOR && f.abs() <= 32.0);
+                let step = if cannot_reach { zero * f } else { g * f };
+                *w -= lr * (step + decay);
+            }
+        } else {
+            for (w, f) in self.weights.iter_mut().zip(features) {
+                *w -= lr * (g * f + l2 * *w);
+            }
         }
         self.bias -= lr * g;
     }
 }
+
+/// `2^-90`: the least `|l2 * w|` whose quarter ulp (`2^-115`) exceeds any
+/// `|g * f|` with a subnormal `g` and `|f| <= 32` (`< 2^-121`).
+const L2W_FLOOR: f32 = 1.0 / (1u128 << 90) as f32;
 
 /// The full object detector: one scorer and one anchor set per class.
 ///
@@ -155,8 +182,21 @@ impl Detector {
         image_size: u32,
         min_score: f32,
     ) -> Vec<Detection> {
+        self.scan_planned(&OnceLock::new(), integral, image_size, min_score)
+    }
+
+    /// [`Self::scan`] with a stage's plan: `plan` holds the first plan the
+    /// stage built, and each image of the stage's size reuses it.
+    pub(crate) fn scan_planned(
+        &self,
+        plan: &OnceLock<ScanPlan>,
+        integral: &IntegralChannels,
+        image_size: u32,
+        min_score: f32,
+    ) -> Vec<Detection> {
+        let plan = self.plan(plan, integral, image_size);
         let mut raw = Vec::new();
-        self.score_windows(integral, image_size, |indicator, bbox, score| {
+        self.score_windows(&plan, integral, |indicator, bbox, score| {
             if score >= min_score {
                 raw.push(Detection {
                     indicator,
@@ -168,40 +208,57 @@ impl Detector {
         nms(raw, self.config.nms_iou)
     }
 
+    /// The stage's plan in `cell` when it fits `integral` at `image_size`
+    /// (building it from this image when the stage has none yet), else a
+    /// plan of this image's own.
+    fn plan<'a>(
+        &self,
+        cell: &'a OnceLock<ScanPlan>,
+        integral: &IntegralChannels,
+        image_size: u32,
+    ) -> Cow<'a, ScanPlan> {
+        let plan = cell.get_or_init(|| ScanPlan::new(self, integral, image_size));
+        if plan.fits(integral, image_size) {
+            Cow::Borrowed(plan)
+        } else {
+            Cow::Owned(ScanPlan::new(self, integral, image_size))
+        }
+    }
+
     /// The sliding-window loop behind [`Self::scan`] and
     /// [`Self::class_scores`]: scores every anchor window of every class
     /// and hands each `(class, window, score)` to `visit`, in
-    /// [`AnchorSet::windows`] order.
+    /// [`AnchorSet::windows`] order. `plan` must fit `integral`.
     ///
-    /// Each anchor run is pooled once ([`RunPool`]), then scored [`LANES`]
-    /// windows at a time. Every lane repeats [`ClassScorer::score`]'s
-    /// operations on its own window in the same order, so each score is
-    /// bit-identical to scoring that window's [`IntegralChannels::window_feature`].
+    /// Each planned anchor run is pooled once ([`RunPool`]), then scored
+    /// [`LANES`] windows at a time. Every lane repeats
+    /// [`ClassScorer::score`]'s operations on its own window in the same
+    /// order, so each score is bit-identical to scoring that window's
+    /// [`IntegralChannels::window_feature`].
     fn score_windows(
         &self,
+        plan: &ScanPlan,
         integral: &IntegralChannels,
-        image_size: u32,
         mut visit: impl FnMut(Indicator, BBox, f32),
     ) {
         let mut pool = RunPool::default();
         let mut means = Box::new([[0f32; LANES]; FEATURE_DIM]);
         let mut norms = [1f32; LANES];
-        for ind in Indicator::ALL {
-            for run in self.anchors[ind].runs(image_size, self.config.shrink) {
-                let scorer = self.scorers[ind].component(run.template);
-                pool.pool(integral, &run);
-                for first in (0..run.len()).step_by(LANES) {
-                    let filled = pool.gather(first, &mut means, &mut norms);
-                    let mut m = [scorer.bias; LANES];
-                    for (w, lanes) in scorer.weights.iter().zip(means.iter()) {
-                        for l in 0..LANES {
-                            m[l] += w * (lanes[l] / norms[l]);
-                        }
+        for (ind, planned) in &plan.runs {
+            let (ind, run) = (*ind, &planned.run);
+            let scorer = self.scorers[ind].component(run.template);
+            pool.pool(integral, planned);
+            for first in (0..run.len()).step_by(LANES) {
+                let filled = pool.gather(planned, first, &mut means, &mut norms);
+                let mut m = [scorer.bias; LANES];
+                for (w, lanes) in scorer.weights.iter().zip(means.iter()) {
+                    for l in 0..LANES {
+                        m[l] += w * (lanes[l] / norms[l]);
                     }
-                    for (l, &margin) in m[..filled].iter().enumerate() {
-                        let score = sigmoid(margin as f64) as f32;
-                        visit(ind, run.window(first + l).bbox, score);
-                    }
+                }
+                for (l, &margin) in m[..filled].iter().enumerate() {
+                    let score = sigmoid(margin as f64) as f32;
+                    visit(ind, run.window(first + l).bbox, score);
                 }
             }
         }
@@ -224,7 +281,8 @@ impl Detector {
     /// classification and threshold calibration), regardless of threshold.
     pub fn class_scores(&self, integral: &IntegralChannels, image_size: u32) -> IndicatorMap<f32> {
         let mut best = IndicatorMap::fill(0f32);
-        self.score_windows(integral, image_size, |ind, _, score| {
+        let plan = ScanPlan::new(self, integral, image_size);
+        self.score_windows(&plan, integral, |ind, _, score| {
             best[ind] = best[ind].max(score);
         });
         best
@@ -260,13 +318,142 @@ impl Detector {
         serde_json::to_string(self).map_err(|e| Error::parse(e.to_string()))
     }
 
-    /// Loads a detector from JSON.
+    /// Loads a detector from JSON, checking everything the scan and the
+    /// feature map rely on.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Parse`] on malformed input.
+    /// Returns [`Error::Parse`] on malformed input, and naming the field
+    /// when: a component's weights are not [`FEATURE_DIM`] long; a weight,
+    /// bias, threshold or `nms_iou` is not finite (a literal past `f32`'s
+    /// range parses to infinity); a class has a component count other than
+    /// its template count; the cell size or a stride is zero; or a class
+    /// has no templates or scales, or one that is not finite and positive.
     pub fn from_json(json: &str) -> Result<Detector> {
-        serde_json::from_str(json).map_err(|e| Error::parse(e.to_string()))
+        let detector: Detector =
+            serde_json::from_str(json).map_err(|e| Error::parse(e.to_string()))?;
+        detector.validate()?;
+        Ok(detector)
+    }
+
+    /// The checks behind [`Self::from_json`].
+    fn validate(&self) -> Result<()> {
+        let fail = |what: String| Err(Error::parse(format!("detector {what}")));
+        let positive = |v: f32| v.is_finite() && v > 0.0;
+        let config = &self.config;
+        if config.shrink == 0 {
+            return fail("config.shrink is 0".into());
+        }
+        for (name, v) in [
+            ("score_threshold", config.score_threshold),
+            ("nms_iou", config.nms_iou),
+        ] {
+            if !v.is_finite() {
+                return fail(format!("config.{name} is not finite"));
+            }
+        }
+        for ind in Indicator::ALL {
+            let anchors = &self.anchors[ind];
+            if anchors.stride_cells == 0 {
+                return fail(format!("anchors.{ind}.stride_cells is 0"));
+            }
+            if anchors.templates.is_empty() || anchors.scales.is_empty() {
+                return fail(format!("anchors.{ind} has no templates or no scales"));
+            }
+            if !anchors
+                .templates
+                .iter()
+                .all(|t| positive(t.w) && positive(t.h))
+            {
+                return fail(format!(
+                    "anchors.{ind}.templates has a size that is not finite and positive"
+                ));
+            }
+            if !anchors.scales.iter().copied().all(positive) {
+                return fail(format!(
+                    "anchors.{ind}.scales has one that is not finite and positive"
+                ));
+            }
+            if !self.thresholds[ind].is_finite() {
+                return fail(format!("thresholds.{ind} is not finite"));
+            }
+            let components = &self.scorers[ind].components;
+            if components.len() != anchors.templates.len() {
+                return fail(format!(
+                    "scorers.{ind}.components has {} components for {} templates",
+                    components.len(),
+                    anchors.templates.len()
+                ));
+            }
+            for (k, c) in components.iter().enumerate() {
+                if c.weights.len() != FEATURE_DIM {
+                    return fail(format!(
+                        "scorers.{ind}.components[{k}].weights has {} weights, not {FEATURE_DIM}",
+                        c.weights.len()
+                    ));
+                }
+                if let Some(j) = c.weights.iter().position(|w| !w.is_finite()) {
+                    return fail(format!(
+                        "scorers.{ind}.components[{k}].weights[{j}] is not finite"
+                    ));
+                }
+                if !c.bias.is_finite() {
+                    return fail(format!("scorers.{ind}.components[{k}].bias is not finite"));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The image-independent half of a scan: every anchor run of every class,
+/// in scan order, planned over one cell grid. It depends on the detector's
+/// anchors and cell size, the image size and the grid, not on the pixels or
+/// the weights, so a stage that scans many same-sized images builds it once.
+#[derive(Debug, Clone)]
+pub(crate) struct ScanPlan {
+    image_size: u32,
+    /// The planned grid: cells per row and column, and pixels per cell.
+    grid: (usize, usize, u32),
+    runs: Vec<(Indicator, PlannedRun)>,
+}
+
+impl ScanPlan {
+    /// Plans the detector's scan of `integral`'s grid at `image_size`.
+    pub(crate) fn new(
+        detector: &Detector,
+        integral: &IntegralChannels,
+        image_size: u32,
+    ) -> ScanPlan {
+        let runs = Indicator::ALL
+            .into_iter()
+            .flat_map(|ind| {
+                detector.anchors[ind]
+                    .runs(image_size, detector.config.shrink)
+                    .into_iter()
+                    .map(move |run| (ind, PlannedRun::new(run, integral)))
+            })
+            .collect();
+        ScanPlan {
+            image_size,
+            grid: Self::grid(integral),
+            runs,
+        }
+    }
+
+    fn grid(integral: &IntegralChannels) -> (usize, usize, u32) {
+        (integral.width(), integral.height(), integral.shrink())
+    }
+
+    /// Whether the plan was made for `integral`'s grid at `image_size`.
+    fn fits(&self, integral: &IntegralChannels, image_size: u32) -> bool {
+        self.image_size == image_size && self.grid == Self::grid(integral)
+    }
+
+    /// Distinct pooling rectangles over every run.
+    #[cfg(test)]
+    pub(crate) fn rects(&self) -> usize {
+        self.runs.iter().map(|(_, run)| run.rects()).sum()
     }
 }
 
@@ -301,6 +488,72 @@ mod tests {
         }
         assert!(scorer.score(&pos) > 0.9);
         assert!(scorer.score(&neg) < 0.1);
+    }
+
+    /// The SGD step with the exact product in every lane, kept as the
+    /// reference the subnormal fast path must match bit for bit.
+    fn reference_sgd_step(
+        scorer: &mut ClassScorer,
+        features: &[f32],
+        label: f32,
+        lr: f32,
+        l2: f32,
+    ) {
+        let p = scorer.score(features);
+        let g = p - label;
+        for (w, f) in scorer.weights.iter_mut().zip(features) {
+            *w -= lr * (g * f + l2 * *w);
+        }
+        scorer.bias -= lr * g;
+    }
+
+    #[test]
+    fn sgd_steps_with_a_subnormal_gradient_are_bit_identical_to_the_reference() {
+        // signed zeros, |f| past 32 and at it, and ordinary features
+        let features = [
+            0.0f32, -0.0, 40.0, -33.0, 1e3, 32.0, -32.0, 0.5, -2.0, 1e-3, 1e-40,
+        ];
+        // zero weights, weights whose decay falls under 2^-90 (with l2 =
+        // 1e-5: 1e-35, 1e-30, 5e-28) or just over it (1e-27), ordinary ones
+        let weights = [0.0f32, -0.0, 1e-30, -1e-25, 5e-23, -1e-22, 0.3, -1.7];
+        // label 0 gives a positive subnormal g, a tiny positive label a
+        // negative one
+        for (label, l2) in [(0.0f32, 1e-5f32), (1e-40, 1e-5), (0.0, 0.0), (1e-40, 1e-4)] {
+            let mut fast = ClassScorer::zeros();
+            let mut f: Vec<f32> = (0..FEATURE_DIM)
+                .map(|i| features[i % features.len()])
+                .collect();
+            for (i, w) in fast.weights.iter_mut().enumerate() {
+                *w = weights[i % weights.len()];
+            }
+            // features large enough that g * f does reach a decay over
+            // 2^-90, on weights too small to move the margin
+            for (i, big) in [1e12f32, -1e12].into_iter().enumerate() {
+                f[i] = big;
+                fast.weights[i] = 1e-22;
+            }
+            // a margin near -95 puts the sigmoid in the subnormal range
+            fast.bias = -95.0 - fast.margin(&f);
+            let mut slow = fast.clone();
+            for step in 0..4 {
+                let g = fast.score(&f) - label;
+                assert!(g.is_subnormal(), "label {label}, step {step}: g {g:e}");
+                fast.sgd_step(&f, label, 0.3, l2);
+                reference_sgd_step(&mut slow, &f, label, 0.3, l2);
+                let bits = |s: &ClassScorer| -> Vec<u32> {
+                    s.weights
+                        .iter()
+                        .chain([&s.bias])
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(
+                    bits(&fast),
+                    bits(&slow),
+                    "label {label}, l2 {l2}, step {step}"
+                );
+            }
+        }
     }
 
     /// A detector whose every component has seeded nonzero weights and
@@ -340,6 +593,9 @@ mod tests {
 
     #[test]
     fn run_scan_is_bit_identical_to_scoring_each_window_feature() {
+        // one stage plan across every image: made at 96 px, shrink 4, it
+        // serves that grid's second image and no other grid
+        let stage = OnceLock::new();
         for size in [96u32, 160, 640] {
             for shrink in [4u32, 8] {
                 let det = seeded_detector(shrink);
@@ -360,7 +616,8 @@ mod tests {
                         }
                     }
                     let mut visited = Vec::new();
-                    det.score_windows(&integral, size, |indicator, bbox, score| {
+                    let plan = ScanPlan::new(&det, &integral, size);
+                    det.score_windows(&plan, &integral, |indicator, bbox, score| {
                         visited.push(Detection {
                             indicator,
                             bbox,
@@ -379,6 +636,12 @@ mod tests {
                         .map(bits)
                         .collect();
                     assert_eq!(scan, want, "{at}: scan");
+                    let staged: Vec<_> = det
+                        .scan_planned(&stage, &integral, size, 0.0)
+                        .iter()
+                        .map(bits)
+                        .collect();
+                    assert_eq!(staged, want, "{at}: scan on the stage plan");
 
                     let mut best = IndicatorMap::fill(0f32);
                     for r in &reference {
@@ -413,6 +676,62 @@ mod tests {
         let back = Detector::from_json(&json).unwrap();
         assert_eq!(det, back);
         assert!(Detector::from_json("{bad").is_err());
+    }
+
+    #[test]
+    fn from_json_names_the_field_it_rejects() {
+        // 1234.5 marks the field a case sets to a literal past f32's range
+        type Break = fn(&mut Detector);
+        let cases: [(&str, Break); 12] = [
+            ("weights has 322", |d| {
+                d.scorers[Indicator::Sidewalk].components[1]
+                    .weights
+                    .truncate(322)
+            }),
+            ("Apartment.components[2].weights[7] is not finite", |d| {
+                d.scorers[Indicator::Apartment].components[2].weights[7] = 1234.5
+            }),
+            ("Streetlight.components[0].bias is not finite", |d| {
+                d.scorers[Indicator::Streetlight].components[0].bias = 1234.5
+            }),
+            ("thresholds.Powerline", |d| {
+                d.thresholds[Indicator::Powerline] = 1234.5
+            }),
+            ("config.nms_iou is not finite", |d| {
+                d.config.nms_iou = 1234.5
+            }),
+            ("2 components for 3 templates", |d| {
+                d.scorers[Indicator::Apartment].components.pop();
+            }),
+            ("config.shrink is 0", |d| d.config.shrink = 0),
+            ("anchors.Sidewalk.stride_cells is 0", |d| {
+                d.anchors[Indicator::Sidewalk].stride_cells = 0
+            }),
+            ("anchors.Streetlight has no templates", |d| {
+                d.anchors[Indicator::Streetlight].templates.clear();
+                d.scorers[Indicator::Streetlight].components.clear();
+            }),
+            ("anchors.Powerline.templates", |d| {
+                d.anchors[Indicator::Powerline].templates[3].h = 1234.5
+            }),
+            ("anchors.Powerline.templates", |d| {
+                d.anchors[Indicator::Powerline].templates[0].w = 0.0
+            }),
+            ("anchors.Apartment.scales", |d| {
+                d.anchors[Indicator::Apartment].scales[1] = 1234.5
+            }),
+        ];
+        let good = Detector::untrained(DetectorConfig::default());
+        assert_eq!(Detector::from_json(&good.to_json().unwrap()).unwrap(), good);
+        for (want, break_it) in cases {
+            let mut det = good.clone();
+            break_it(&mut det);
+            let json = det.to_json().unwrap().replace("1234.5", "1e39");
+            match Detector::from_json(&json) {
+                Err(Error::Parse(msg)) => assert!(msg.contains(want), "{want}: {msg}"),
+                other => panic!("{want}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Detection evaluation: mAP50 and the Table-I style metric rows.
 
-use nbhd_eval::{average_precision, BinaryConfusion, ClassMetrics, MetricsTable};
+use std::sync::OnceLock;
 
+use nbhd_eval::{average_precision, BinaryConfusion, ClassMetrics, MetricsTable};
+use nbhd_exec::{Parallelism, ScopedPool};
 use nbhd_types::{ImageId, ImageLabels, Indicator, IndicatorMap, Result};
 
+use crate::detector::ScanPlan;
 use crate::{Detector, ImageProvider};
 
 /// The IoU threshold used for matching (the paper reports mAP50).
@@ -29,7 +32,8 @@ pub type ScoredMatches = (IndicatorMap<Vec<(f32, bool)>>, IndicatorMap<usize>);
 /// Scored, matched detections over a set of labeled images: for every
 /// class, each detection's `(score, matched_ground_truth)` pair plus the
 /// ground-truth positive count. Shared by AP evaluation and the trainer's
-/// object-level threshold calibration.
+/// object-level threshold calibration. Images fan out with automatic
+/// parallelism.
 ///
 /// # Errors
 ///
@@ -39,13 +43,26 @@ pub fn scored_matches<P: ImageProvider + Sync>(
     items: &[(ImageId, ImageLabels)],
     provider: &P,
 ) -> Result<ScoredMatches> {
+    let pool = ScopedPool::new(Parallelism::auto());
+    scored_matches_on(detector, items, provider, &pool, &OnceLock::new())
+}
+
+/// [`scored_matches`] with the images fanned out on `pool` and scanned
+/// with the stage's `plan`.
+pub(crate) fn scored_matches_on<P: ImageProvider + Sync>(
+    detector: &Detector,
+    items: &[(ImageId, ImageLabels)],
+    provider: &P,
+    pool: &ScopedPool,
+    plan: &OnceLock<ScanPlan>,
+) -> Result<ScoredMatches> {
     let mut scored: IndicatorMap<Vec<(f32, bool)>> = IndicatorMap::from_fn(|_| Vec::new());
     let mut positives = IndicatorMap::fill(0usize);
 
-    let per_image = crate::par_map(items, |(id, labels)| -> Result<_> {
+    let per_image = pool.map(items, |(id, labels)| -> Result<_> {
         let img = provider.image(*id)?;
         let integral = detector.integral(&img);
-        let dets = detector.scan(&integral, img.width(), 0.08);
+        let dets = detector.scan_planned(plan, &integral, img.width(), 0.08);
         let mut scored_local: IndicatorMap<Vec<(f32, bool)>> =
             IndicatorMap::from_fn(|_| Vec::new());
         let mut positives_local = IndicatorMap::fill(0usize);

@@ -45,6 +45,11 @@ pub struct FeatureMap {
 impl FeatureMap {
     /// Computes the channel features of an image with the given cell size.
     ///
+    /// Each row is featurized in one pass (gradients, magnitude, gray and
+    /// orientation bin per pixel), then added into its cells' sums in
+    /// raster order, so every cell sum sees its pixels in the same order
+    /// as a per-pixel loop over the image and gets the same bits.
+    ///
     /// # Panics
     ///
     /// Panics when `shrink` is zero or larger than the image.
@@ -53,43 +58,55 @@ impl FeatureMap {
         let (w, h) = img.size();
         assert!(shrink <= w && shrink <= h, "shrink larger than image");
         let gray = img.to_gray();
-        let pixels = img.pixels();
-        let wi = w as usize;
-        let hi = h as usize;
-
-        // per-pixel gradients (central differences, clamped borders)
-        let at = |x: usize, y: usize| gray[y * wi + x];
-        let cw = (w / shrink) as usize;
-        let ch = (h / shrink) as usize;
-        let mut channels = vec![vec![0f32; cw * ch]; NUM_CHANNELS];
-        let mut counts = vec![0f32; cw * ch];
-
+        let (wi, hi, s) = (w as usize, h as usize, shrink as usize);
+        let (cw, ch) = (wi / s, hi / s);
+        // the last cell of a row or column takes the remainder pixels
+        let cell_len = |cell: usize, cells: usize, len: usize| {
+            if cell + 1 == cells {
+                len - cell * s
+            } else {
+                s
+            }
+        };
+        let unit: [f32; 256] = std::array::from_fn(|v| v as f32 / 255.0);
+        let mut cells = vec![[0f32; NUM_CHANNELS]; cw * ch];
+        // one row's gray / 255, |grad| / 255 and orientation channel
+        let mut gray_row = vec![0f32; wi];
+        let mut mag_row = vec![0f32; wi];
+        let mut bin_row = vec![0u8; wi];
         for y in 0..hi {
-            let cy = (y / shrink as usize).min(ch - 1);
+            // central differences, clamped borders
+            let row = &gray[y * wi..][..wi];
+            let above = &gray[y.saturating_sub(1) * wi..][..wi];
+            let below = &gray[(y + 1).min(hi - 1) * wi..][..wi];
             for x in 0..wi {
-                let cx = (x / shrink as usize).min(cw - 1);
-                let idx = cy * cw + cx;
-                let gx = at((x + 1).min(wi - 1), y) - at(x.saturating_sub(1), y);
-                let gy = at(x, (y + 1).min(hi - 1)) - at(x, y.saturating_sub(1));
-                let mag = (gx * gx + gy * gy).sqrt();
-                // orientation folded into [0, pi)
-                let theta = gy.atan2(gx).rem_euclid(std::f32::consts::PI);
-                let bin = ((theta / std::f32::consts::PI * 4.0) as usize).min(3);
-                channels[0][idx] += at(x, y) / 255.0;
-                channels[1][idx] += mag / 255.0;
-                channels[2 + bin][idx] += mag / 255.0;
-                let p = pixels[y * wi + x];
-                channels[6][idx] += p.r as f32 / 255.0;
-                channels[7][idx] += p.g as f32 / 255.0;
-                channels[8][idx] += p.b as f32 / 255.0;
-                counts[idx] += 1.0;
+                let gx = row[(x + 1).min(wi - 1)] - row[x.saturating_sub(1)];
+                let gy = below[x] - above[x];
+                mag_row[x] = (gx * gx + gy * gy).sqrt() / 255.0;
+                bin_row[x] = 2 + orientation_bin(gx, gy);
+                gray_row[x] = row[x] / 255.0;
+            }
+            let pixels = &img.pixels()[y * wi..][..wi];
+            let cy = (y / s).min(ch - 1);
+            for (cx, cell) in cells[cy * cw..][..cw].iter_mut().enumerate() {
+                let xs = cx * s..cx * s + cell_len(cx, cw, wi);
+                for (x, p) in xs.clone().zip(&pixels[xs]) {
+                    cell[0] += gray_row[x];
+                    cell[1] += mag_row[x];
+                    cell[bin_row[x] as usize] += mag_row[x];
+                    cell[6] += unit[p.r as usize];
+                    cell[7] += unit[p.g as usize];
+                    cell[8] += unit[p.b as usize];
+                }
             }
         }
-        for c in &mut channels {
-            for (v, n) in c.iter_mut().zip(&counts) {
-                if *n > 0.0 {
-                    *v /= *n;
-                }
+        let mut channels = vec![vec![0f32; cw * ch]; NUM_CHANNELS];
+        for (i, cell) in cells.iter().enumerate() {
+            let pixels = cell_len(i / cw, ch, hi) * cell_len(i % cw, cw, wi);
+            // the count a `+= 1.0` per pixel reaches: f32 stops at 2^24
+            let n = pixels.min(1 << 24) as f32;
+            for (plane, &sum) in channels.iter_mut().zip(cell) {
+                plane[i] = sum / n;
             }
         }
         FeatureMap {
@@ -104,6 +121,44 @@ impl FeatureMap {
     pub fn channel(&self, c: usize) -> &[f32] {
         &self.channels[c]
     }
+}
+
+/// The orientation bin of a gradient: `atan2(gy, gx)` folded into `[0, pi)`
+/// and cut into four equal bins, as `atan2_bin` computes it.
+///
+/// Away from the bin edges the bin follows from signs and a magnitude
+/// comparison: folding makes `gy` positive, so the sign of `gx * gy` picks
+/// the quadrant and `|gy| < |gx|` the half of it. Within 1e-3 relative of
+/// an edge (`|gx| == |gy|`, `gx == 0` or `gy == 0`) the rounding of `atan2`
+/// decides, so that band takes `atan2_bin` itself; its exact zeros are
+/// settled first (`gy == 0` is bin 0 and `gx == 0` bin 2 for every signed
+/// zero, as `atan2_bin` gives them).
+fn orientation_bin(gx: f32, gy: f32) -> u8 {
+    if gy == 0.0 {
+        return 0;
+    }
+    if gx == 0.0 {
+        return 2;
+    }
+    let (a, b) = (gx.abs(), gy.abs());
+    let margin = 1e-3 * a.max(b);
+    if (a - b).abs() <= margin || a.min(b) <= margin {
+        return atan2_bin(gx, gy);
+    }
+    match ((gx > 0.0) == (gy > 0.0), b < a) {
+        (true, true) => 0,
+        (true, false) => 1,
+        (false, false) => 2,
+        (false, true) => 3,
+    }
+}
+
+/// The orientation bin by its definition: the angle folded into `[0, pi)`,
+/// scaled to `[0, 4)` and truncated (a fold that rounds up to `pi` lands in
+/// bin 3).
+fn atan2_bin(gx: f32, gy: f32) -> u8 {
+    let theta = gy.atan2(gx).rem_euclid(std::f32::consts::PI);
+    ((theta / std::f32::consts::PI * 4.0) as u8).min(3)
 }
 
 /// Integral images over a [`FeatureMap`], enabling O(1) box sums.
@@ -206,8 +261,17 @@ impl IntegralChannels {
         if rect.area == 0.0 {
             return [0.0; NUM_CHANNELS];
         }
-        let [a, b, d, e] = rect.corners.map(|o| &self.tables[o..o + NUM_CHANNELS]);
-        std::array::from_fn(|c| ((a[c] - b[c] - d[c] + e[c]) / rect.area) as f32)
+        let corner = |o: usize| -> &[f64; NUM_CHANNELS] {
+            self.tables[o..o + NUM_CHANNELS]
+                .try_into()
+                .expect("a corner holds every channel")
+        };
+        let [a, b, d, e] = rect.corners.map(corner);
+        let mut means = [0f32; NUM_CHANNELS];
+        for (c, mean) in means.iter_mut().enumerate() {
+            *mean = ((a[c] - b[c] - d[c] + e[c]) / rect.area) as f32;
+        }
+        means
     }
 
     /// Lighting normalization: the window's mean luminance (channel 0 over
@@ -281,13 +345,12 @@ impl IntegralChannels {
 pub(crate) const LANES: usize = 8;
 
 /// One axis of an anchor run, pooled once for every origin on it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone)]
 struct RunAxis {
-    /// Each origin's `GRID` pooling spans: `spans[origin * GRID + g]`.
-    spans: Vec<Span>,
     /// The distinct clamped pooling spans, sorted.
     distinct: Vec<Span>,
-    /// Each pooling span's index into `distinct`, laid out like `spans`.
+    /// Each origin's `GRID` pooling spans as indices into `distinct`:
+    /// `cells[origin * GRID + g]`.
     cells: Vec<usize>,
     /// Each origin's whole-window span, for the norm.
     windows: Vec<Span>,
@@ -295,23 +358,57 @@ struct RunAxis {
 
 impl RunAxis {
     /// Computes the spans of every origin and dedups them.
-    fn build(&mut self, integral: &IntegralChannels, origins: &[f32], len: f32, limit: usize) {
-        self.spans.clear();
-        self.windows.clear();
+    fn new(integral: &IntegralChannels, origins: &[f32], len: f32, limit: usize) -> RunAxis {
+        let mut spans = Vec::with_capacity(origins.len() * GRID);
+        let mut windows = Vec::with_capacity(origins.len());
         for &pos in origins {
             let (window, cells) = integral.axis_spans(pos, len, limit);
-            self.windows.push(window);
-            self.spans.extend(cells);
+            windows.push(window);
+            spans.extend(cells);
         }
-        self.distinct.clone_from(&self.spans);
-        self.distinct.sort_unstable();
-        self.distinct.dedup();
-        self.cells.clear();
-        self.cells.extend(self.spans.iter().map(|span| {
-            self.distinct
-                .binary_search(span)
-                .expect("every span is among the distinct ones")
-        }));
+        let mut distinct = spans.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let cells = spans
+            .iter()
+            .map(|span| {
+                distinct
+                    .binary_search(span)
+                    .expect("every span is among the distinct ones")
+            })
+            .collect();
+        RunAxis {
+            distinct,
+            cells,
+            windows,
+        }
+    }
+}
+
+/// An anchor run with both axes' pooling spans worked out. The spans depend
+/// on the run, the cell size and the grid's extent, not on the pixels, so
+/// one planned run serves every image with that grid.
+#[derive(Debug, Clone)]
+pub(crate) struct PlannedRun {
+    /// The run's windows.
+    pub(crate) run: AnchorRun,
+    x: RunAxis,
+    y: RunAxis,
+}
+
+impl PlannedRun {
+    /// Plans `run` over the grid of `integral` (its cell size and extent).
+    pub(crate) fn new(run: AnchorRun, integral: &IntegralChannels) -> PlannedRun {
+        PlannedRun {
+            x: RunAxis::new(integral, &run.xs, run.w, integral.width),
+            y: RunAxis::new(integral, &run.ys, run.h, integral.height),
+            run,
+        }
+    }
+
+    /// Distinct rectangles in the run's pooling table.
+    pub(crate) fn rects(&self) -> usize {
+        self.x.distinct.len() * self.y.distinct.len()
     }
 }
 
@@ -320,8 +417,6 @@ impl RunAxis {
 /// largest run grows the buffers.
 #[derive(Debug, Default)]
 pub(crate) struct RunPool {
-    x: RunAxis,
-    y: RunAxis,
     /// Every channel's mean over every distinct (x span, y span) rectangle:
     /// `means[(yi * x.distinct.len() + xi) * NUM_CHANNELS + c]`.
     means: Vec<f32>,
@@ -330,53 +425,47 @@ pub(crate) struct RunPool {
 }
 
 impl RunPool {
-    /// Pools `run` over `integral`: each distinct rectangle once, each
-    /// window's norm once.
-    pub(crate) fn pool(&mut self, integral: &IntegralChannels, run: &AnchorRun) {
-        self.x.build(integral, &run.xs, run.w, integral.width);
-        self.y.build(integral, &run.ys, run.h, integral.height);
+    /// Pools `run` over `integral`, whose grid it was planned on: each
+    /// distinct rectangle once, each window's norm once.
+    pub(crate) fn pool(&mut self, integral: &IntegralChannels, run: &PlannedRun) {
         self.means.clear();
         // exact, so the scratch is the largest run's table and no more
-        self.means.reserve_exact(self.rects() * NUM_CHANNELS);
-        for &y_span in &self.y.distinct {
-            for &x_span in &self.x.distinct {
+        self.means.reserve_exact(run.rects() * NUM_CHANNELS);
+        for &y_span in &run.y.distinct {
+            for &x_span in &run.x.distinct {
                 self.means
                     .extend(integral.rect_means(integral.rect(x_span, y_span)));
             }
         }
         self.norms.clear();
-        for &y_span in &self.y.windows {
-            for &x_span in &self.x.windows {
+        for &y_span in &run.y.windows {
+            for &x_span in &run.x.windows {
                 self.norms.push(integral.norm(x_span, y_span));
             }
         }
     }
 
-    /// Distinct rectangles in the pooled run's table.
-    pub(crate) fn rects(&self) -> usize {
-        self.x.distinct.len() * self.y.distinct.len()
-    }
-
-    /// Writes the features of up to [`LANES`] consecutive windows, from
-    /// y-major index `first`, as lane-major undivided means (feature `k` of
-    /// lane `l` at `means[k][l]`) with each lane's norm, and returns how
-    /// many lanes it filled. A window's feature `k` is `means[k][l] /
-    /// norms[l]`, the value [`IntegralChannels::window_feature_into`]
-    /// writes.
+    /// Writes the features of up to [`LANES`] consecutive windows of the
+    /// pooled `run`, from y-major index `first`, as lane-major undivided
+    /// means (feature `k` of lane `l` at `means[k][l]`) with each lane's
+    /// norm, and returns how many lanes it filled. A window's feature `k`
+    /// is `means[k][l] / norms[l]`, the value
+    /// [`IntegralChannels::window_feature_into`] writes.
     pub(crate) fn gather(
         &self,
+        run: &PlannedRun,
         first: usize,
         means: &mut [[f32; LANES]; FEATURE_DIM],
         norms: &mut [f32; LANES],
     ) -> usize {
-        let nx = self.x.windows.len();
+        let nx = run.x.windows.len();
         let n = LANES.min(self.norms.len() - first);
-        let row_len = self.x.distinct.len();
+        let row_len = run.x.distinct.len();
         for l in 0..n {
             let (xo, yo) = ((first + l) % nx, (first + l) / nx);
             norms[l] = self.norms[first + l];
-            let x_cells = &self.x.cells[xo * GRID..(xo + 1) * GRID];
-            let y_cells = &self.y.cells[yo * GRID..(yo + 1) * GRID];
+            let x_cells = &run.x.cells[xo * GRID..(xo + 1) * GRID];
+            let y_cells = &run.y.cells[yo * GRID..(yo + 1) * GRID];
             for (gy, &yi) in y_cells.iter().enumerate() {
                 for (gx, &xi) in x_cells.iter().enumerate() {
                     let at = (yi * row_len + xi) * NUM_CHANNELS;
@@ -640,6 +729,184 @@ pub(crate) mod tests {
                         "channel {c} [{x0}, {x1}) x [{y0}, {y1})"
                     );
                 }
+            }
+        }
+    }
+
+    /// The per-pixel feature kernel, kept as the reference the row-pass
+    /// one must match bit for bit: `atan2` for every pixel's bin and
+    /// `+= 1.0` cell counts.
+    fn reference_compute(img: &RasterImage, shrink: u32) -> FeatureMap {
+        let (w, h) = img.size();
+        let gray = img.to_gray();
+        let pixels = img.pixels();
+        let wi = w as usize;
+        let hi = h as usize;
+        let at = |x: usize, y: usize| gray[y * wi + x];
+        let cw = (w / shrink) as usize;
+        let ch = (h / shrink) as usize;
+        let mut channels = vec![vec![0f32; cw * ch]; NUM_CHANNELS];
+        let mut counts = vec![0f32; cw * ch];
+        for y in 0..hi {
+            let cy = (y / shrink as usize).min(ch - 1);
+            for x in 0..wi {
+                let cx = (x / shrink as usize).min(cw - 1);
+                let idx = cy * cw + cx;
+                let gx = at((x + 1).min(wi - 1), y) - at(x.saturating_sub(1), y);
+                let gy = at(x, (y + 1).min(hi - 1)) - at(x, y.saturating_sub(1));
+                let mag = (gx * gx + gy * gy).sqrt();
+                let theta = gy.atan2(gx).rem_euclid(std::f32::consts::PI);
+                let bin = ((theta / std::f32::consts::PI * 4.0) as usize).min(3);
+                channels[0][idx] += at(x, y) / 255.0;
+                channels[1][idx] += mag / 255.0;
+                channels[2 + bin][idx] += mag / 255.0;
+                let p = pixels[y * wi + x];
+                channels[6][idx] += p.r as f32 / 255.0;
+                channels[7][idx] += p.g as f32 / 255.0;
+                channels[8][idx] += p.b as f32 / 255.0;
+                counts[idx] += 1.0;
+            }
+        }
+        for c in &mut channels {
+            for (v, n) in c.iter_mut().zip(&counts) {
+                if *n > 0.0 {
+                    *v /= *n;
+                }
+            }
+        }
+        FeatureMap {
+            width: cw,
+            height: ch,
+            shrink,
+            channels,
+        }
+    }
+
+    fn assert_same_map(img: &RasterImage, shrink: u32, what: &str) {
+        let (fast, slow) = (
+            FeatureMap::compute(img, shrink),
+            reference_compute(img, shrink),
+        );
+        assert_eq!(
+            (fast.width, fast.height),
+            (slow.width, slow.height),
+            "{what}"
+        );
+        for c in 0..NUM_CHANNELS {
+            assert_eq!(
+                bits(fast.channel(c)),
+                bits(slow.channel(c)),
+                "{what}, channel {c}"
+            );
+        }
+    }
+
+    /// A rendered street scene: flat regions, hard edges and diagonals.
+    fn scene_image(size: u32, view: nbhd_scene::ViewKind) -> RasterImage {
+        let id = nbhd_types::ImageId::new(nbhd_types::LocationId(5), nbhd_types::Heading::West);
+        let spec = nbhd_scene::SceneGenerator::new(3).compose_raw(
+            id,
+            nbhd_geo::Zoning::Suburban,
+            nbhd_geo::RoadClass::SingleLane,
+            view,
+        );
+        nbhd_scene::render(&spec, size).0
+    }
+
+    #[test]
+    fn feature_map_is_bit_identical_to_the_per_pixel_kernel() {
+        for size in [96u32, 160, 640] {
+            for shrink in [4u32, 8] {
+                assert_same_map(
+                    &textured_image(size),
+                    shrink,
+                    &format!("textured {size}/{shrink}"),
+                );
+                for view in [
+                    nbhd_scene::ViewKind::AlongRoad,
+                    nbhd_scene::ViewKind::AcrossRoad,
+                ] {
+                    let what = format!("scene {view:?} {size}/{shrink}");
+                    assert_same_map(&scene_image(size, view), shrink, &what);
+                }
+            }
+        }
+        // remainder cells, a one-cell grid, and a one-pixel-wide image
+        assert_same_map(&textured_image(101), 7, "101 px / 7");
+        assert_same_map(&textured_image(37), 37, "37 px / 37");
+        assert_same_map(&RasterImage::filled(1, 9, Rgb::new(3, 200, 77)), 1, "1 x 9");
+    }
+
+    /// The bin the per-pixel kernel gives a gradient.
+    fn reference_bin(gx: f32, gy: f32) -> u8 {
+        let theta = gy.atan2(gx).rem_euclid(std::f32::consts::PI);
+        ((theta / std::f32::consts::PI * 4.0) as usize).min(3) as u8
+    }
+
+    #[test]
+    fn orientation_bins_match_atan2_around_every_bin_edge() {
+        // +-2,000 urad around 0, pi/4, ..., 2 pi in 1 urad steps, at
+        // gradient magnitudes from a pixel step to a full swing
+        for edge in 0..=8 {
+            let center = edge as f64 * std::f64::consts::FRAC_PI_4;
+            for step in -2_000i32..=2_000 {
+                let angle = center + f64::from(step) * 1e-6;
+                for r in [0.299f64, 1.0, 37.5, 255.0] {
+                    let (gx, gy) = ((r * angle.cos()) as f32, (r * angle.sin()) as f32);
+                    assert_eq!(
+                        orientation_bin(gx, gy),
+                        reference_bin(gx, gy),
+                        "({gx:e}, {gy:e}) at edge {edge}, step {step}"
+                    );
+                }
+            }
+        }
+        // the exact diagonals, axis-aligned gradients and one-ulp neighbours
+        for v in [0.114f32, 0.587, 1.0, 3.0, 254.9] {
+            for (gx, gy) in [
+                (v, v),
+                (v, v.next_up()),
+                (v.next_up(), v),
+                (v, v.next_down()),
+            ] {
+                for (sx, sy) in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
+                    let (gx, gy) = (gx * sx, gy * sy);
+                    assert_eq!(
+                        orientation_bin(gx, gy),
+                        reference_bin(gx, gy),
+                        "({gx}, {gy})"
+                    );
+                    assert_eq!(
+                        orientation_bin(gy, gx),
+                        reference_bin(gy, gx),
+                        "({gy}, {gx})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn orientation_bins_of_signed_zero_gradients_match_atan2() {
+        let values = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            1e-30,
+            -1e-30,
+            f32::MIN_POSITIVE,
+            255.0,
+        ];
+        for gx in values {
+            for gy in values {
+                assert_eq!(
+                    orientation_bin(gx, gy),
+                    reference_bin(gx, gy),
+                    "({gx:e}, {gy:e}), signs {} {}",
+                    gx.is_sign_negative(),
+                    gy.is_sign_negative()
+                );
             }
         }
     }

@@ -6,7 +6,7 @@
 //! split used for operating-point selection.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use nbhd_annotate::{DatasetSplit, LabeledDataset};
 use nbhd_journal::CheckpointStore;
@@ -20,6 +20,8 @@ use rand::Rng;
 
 use nbhd_exec::{Parallelism, ScopedPool};
 
+use crate::detector::ScanPlan;
+use crate::eval::scored_matches_on;
 use crate::{AnchorRun, AnchorWindow, ClassScorer, Detector, DetectorConfig, IntegralChannels};
 
 /// Journal record kind for per-image harvests, keyed by image id. A record
@@ -49,8 +51,9 @@ pub struct TrainConfig {
     pub positive_jitter: usize,
     /// Root seed for sampling and shuffling.
     pub seed: u64,
-    /// Worker-thread budget for the per-image harvest and mining passes
-    /// and for SGD, which trains the mixture components side by side.
+    /// Worker-thread budget for the per-image harvest, mining and
+    /// calibration passes and for SGD, which trains the mixture components
+    /// side by side.
     /// Trained weights are bit-identical at any setting.
     pub parallelism: Parallelism,
 }
@@ -306,6 +309,10 @@ impl Trainer {
 
         self.sgd(0, &mut detector, &pools, &mut rng, &pool);
 
+        // The anchors and cell size never change during a fit, so mining
+        // and calibration share one scan plan.
+        let plan = OnceLock::new();
+
         // Hard-negative mining rounds: collect confident mistakes, extend
         // the pools, refit. Each round re-fetches pixels and rebuilds the
         // integrals (compute is cheap to redo; memory is what we bound).
@@ -316,7 +323,7 @@ impl Trainer {
                 .map(|obs| obs.tracer().enter(&format!("mine-{round}")));
             let mined = map_train(&pool, train_ids, source, |id, labels, provider| {
                 let integral = detector.integral(&provider.image(id)?);
-                Ok(self.mine_image(&detector, &integral, labels, image_size))
+                Ok(self.mine_image(&detector, &plan, &integral, labels, image_size))
             })?;
             let mut added = 0usize;
             for (ind, template, feature) in mined.into_iter().flatten() {
@@ -355,7 +362,7 @@ impl Trainer {
                 }
                 covered += items.len();
                 let (shard_scored, shard_positives) =
-                    crate::scored_matches(&detector, &items, &data.provider)?;
+                    scored_matches_on(&detector, &items, &data.provider, &pool, &plan)?;
                 for (idx, local) in shard_scored.into_array().into_iter().enumerate() {
                     let ind = Indicator::from_index(idx).expect("index < 6");
                     scored[ind].extend(local);
@@ -477,12 +484,13 @@ impl Trainer {
     fn mine_image(
         &self,
         detector: &Detector,
+        plan: &OnceLock<ScanPlan>,
         integral: &IntegralChannels,
         labels: &ImageLabels,
         size: u32,
     ) -> Vec<(Indicator, usize, Vec<f32>)> {
         // scan low so marginal false positives are mined too
-        let dets = detector.scan(integral, size, 0.3);
+        let dets = detector.scan_planned(plan, integral, size, 0.3);
         let mut taken = IndicatorMap::fill(0usize);
         let mut out: Vec<(Indicator, usize, Vec<f32>)> = Vec::new();
         for det in dets {
@@ -886,6 +894,7 @@ mod tests {
             TrainConfig {
                 epochs: 3,
                 hard_negative_rounds: 1,
+                parallelism: Parallelism::fixed(1),
                 ..TrainConfig::default()
             },
             DetectorConfig::default(),
@@ -904,11 +913,16 @@ mod tests {
         assert!(names.contains(&"sgd-0"), "spans: {names:?}");
         assert!(names.contains(&"sgd-1"), "spans: {names:?}");
         assert!(names.contains(&"calibrate"), "spans: {names:?}");
-        // the per-image fan-outs recorded their task counts
-        let tasks = summary.metrics.counters[nbhd_exec::TASKS_METRIC];
+        // every fan-out ran on the trainer's one-worker pool and recorded
+        // into the run's registry: harvest, sgd-0, mine-0, sgd-1 and
+        // calibration
+        let exec = nbhd_exec::ExecSnapshot::from_metrics(&summary.metrics);
+        assert_eq!((exec.parallel_calls, exec.serial_calls), (0, 5), "{exec:?}");
+        let split = ds.split();
         assert!(
-            tasks >= 2 * ds.split().train.len() as u64,
-            "harvest + mining tasks expected, got {tasks}"
+            exec.tasks >= (2 * split.train.len() + split.val.len()) as u64,
+            "harvest, mining and calibration tasks expected, got {}",
+            exec.tasks
         );
     }
 
