@@ -150,9 +150,8 @@ pub struct RunReport {
     pub billed_images: u64,
     /// Total imagery fees (USD) across every process of the run.
     pub fees_usd: f64,
-    /// The survey's location-coverage fraction. `1.0` for runs whose data
-    /// path aborts on failure; below `1.0` when a supervised survey
-    /// quarantined or skipped locations.
+    /// The survey's location-coverage fraction: below `1.0` when the
+    /// survey quarantined or skipped locations.
     pub coverage: f64,
 }
 
@@ -162,7 +161,7 @@ pub struct RunReport {
 /// wherever the previous process died and lands on a byte-identical
 /// [`RunReport`].
 ///
-/// Every stage runs under a virtual-time span (`run`, `survey/capture`,
+/// Every stage runs under a virtual-time span (`run`, `survey/shard-0`,
 /// `detector/harvest…`, `ensemble/vote-*`, `bootstrap`), execution and
 /// accounting counters land in the bundle's [`nbhd_obs::MetricsRegistry`],
 /// and completed spans are journaled through `store` (kind
@@ -367,7 +366,7 @@ mod tests {
         for expected in [
             "run",
             "run/survey",
-            "run/survey/capture",
+            "run/survey/shard-0",
             "run/detector",
             "run/detector/harvest",
             "run/ensemble",

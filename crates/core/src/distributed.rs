@@ -173,7 +173,7 @@ pub fn run_shard_distributed(
         report,
         annotations: pass.annotations,
         peak_resident_scenes: pass.peak_resident_scenes,
-        billed_images: pass.billed,
+        billed_images: pass.billed.len() as u64,
     })
 }
 

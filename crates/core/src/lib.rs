@@ -3,15 +3,13 @@
 //!
 //! The crate wires the workspace together:
 //!
-//! * [`SurveyPipeline`] runs the paper's data collection — county sampling,
-//!   (simulated) street-view imagery, (simulated) human annotation, and the
-//!   70/20/10 split — producing a [`SurveyDataset`].
-//! * [`run_supervised`] is the one shard driver: the same survey streamed
+//! * [`run_supervised`] is the one survey driver: the paper's data
+//!   collection — county sampling, (simulated) street-view imagery,
+//!   (simulated) human annotation, and the 70/20/10 split — streamed
 //!   shard by shard with bounded memory, failing locations quarantined
-//!   and reported in a [`CoverageReport`]. With
-//!   `SupervisePolicy::default()` and no poison it is the plain stream,
-//!   byte-identical to the pipeline on clean data.
-//!   [`run_shard_distributed`] runs one shard of it per process.
+//!   and reported in a [`CoverageReport`], producing a [`SurveyDataset`]
+//!   whose imagery meter is the run's bill. [`SurveyPipeline`] runs its
+//!   one-shard case, and [`run_shard_distributed`] one shard per process.
 //! * [`run_observed`] drives the whole study (survey, detector, ensemble
 //!   vote, bootstrap) under a journal, resuming byte-identically.
 //! * [`train_baseline`] / [`evaluate_with_noise`] train and ablate the
@@ -65,9 +63,7 @@ pub use llm_survey::{
     paper_lineup, run_llm_survey, run_llm_survey_observed, LlmSurveyConfig, LlmSurveyOutcome,
 };
 pub use panorama::{run_panorama_survey, FusionRule, PanoramaOutcome};
-pub use pipeline::{
-    SurveyDataset, SurveyImageProvider, SurveyPipeline, CAPTURE_RECORD_KIND, PANIC_RECORD_KIND,
-};
+pub use pipeline::{SurveyDataset, SurveyImageProvider, SurveyPipeline};
 pub use shard::{
     merge_shard_annotations, ShardedOutcome, SurveyShardSource, SHARD_COUNT_METRIC,
     SHARD_PEAK_GAUGE, SHARD_WALL_MS_HIST,
@@ -75,9 +71,9 @@ pub use shard::{
 pub use supervise::{
     run_supervised, CoverageReport, QuarantineCause, QuarantineRecord, QuarantineStage,
     RegionCoverage, ShardCoverage, ShardOutcome, SupervisePolicy, ATTEMPT_RECORD_KIND,
-    CLASS_IMAGE_PREFIX, COVERAGE_FRACTION_GAUGE, QUARANTINE_CAUSE_PREFIX, QUARANTINE_COUNT_METRIC,
-    QUARANTINE_RECORD_KIND, QUARANTINE_RETRY_METRIC, SHARD_OUTCOME_COMPLETED_METRIC,
-    SHARD_OUTCOME_TIMED_OUT_METRIC,
+    CAPTURE_RECORD_KIND, CLASS_IMAGE_PREFIX, COVERAGE_FRACTION_GAUGE, QUARANTINE_CAUSE_PREFIX,
+    QUARANTINE_COUNT_METRIC, QUARANTINE_RECORD_KIND, QUARANTINE_RETRY_METRIC,
+    SHARD_OUTCOME_COMPLETED_METRIC, SHARD_OUTCOME_TIMED_OUT_METRIC,
 };
 pub use transfer::{run_transfer, TransferOutcome};
 

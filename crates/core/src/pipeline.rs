@@ -3,31 +3,22 @@
 //! Mirrors the paper's data-collection methodology: sample locations across
 //! the two study counties, fetch four headings per location from the
 //! (simulated) street-view service, have the (simulated) student annotator
-//! label every image, verify, and split 70/20/10.
+//! label every image, verify, and split 70/20/10. [`SurveyPipeline`] runs
+//! it as the one-shard case of the survey driver, [`crate::run_supervised`].
 
 use std::sync::Arc;
 
-use nbhd_annotate::{HumanLabeler, LabeledDataset};
-use nbhd_exec::ScopedPool;
-use nbhd_geo::SurveySample;
+use nbhd_annotate::LabeledDataset;
+use nbhd_geo::ShardPlan;
 use nbhd_gsv::{ImageRequest, StreetViewService, UsageMeter};
 use nbhd_journal::CheckpointStore;
 use nbhd_obs::Obs;
 use nbhd_raster::RasterImage;
 use nbhd_scene::SceneSpec;
-use nbhd_types::rng::child_seed;
-use nbhd_types::{Error, Heading, ImageId, ImageLabels, LocationId, Result};
+use nbhd_types::{ImageId, Result};
 use nbhd_vlm::ImageContext;
 
-use crate::SurveyConfig;
-
-/// Journal record kind for completed `(location, heading)` captures: the
-/// payload is the verified human annotation for that image.
-pub const CAPTURE_RECORD_KIND: &str = "capture";
-
-/// Journal record kind for worker panics (forensic only — a panic record
-/// is never replayed; the poisoned item is simply retried on resume).
-pub const PANIC_RECORD_KIND: &str = "panic";
+use crate::{run_supervised, CoverageReport, SupervisePolicy, SurveyConfig};
 
 /// Builds a [`SurveyDataset`] from a [`SurveyConfig`].
 #[derive(Debug, Clone)]
@@ -42,8 +33,8 @@ impl SurveyPipeline {
         SurveyPipeline { config, obs: None }
     }
 
-    /// Attaches the run's observability bundle: the capture fan-out
-    /// records a `capture` stage span and its execution counters, and the
+    /// Attaches the run's observability bundle: the survey records its
+    /// `shard-0` span, execution counters and shard metrics, and the
     /// imagery usage meter publishes into the bundle's registry when the
     /// pass completes. Does not affect the dataset.
     #[must_use]
@@ -57,173 +48,39 @@ impl SurveyPipeline {
     /// # Errors
     ///
     /// Returns configuration errors, geography-sampling failures, or
-    /// imagery-service failures.
+    /// dataset-assembly failures.
     pub fn run(&self) -> Result<SurveyDataset> {
         self.run_with_store(None)
     }
 
-    /// [`SurveyPipeline::run`] with crash-safe checkpointing: each
-    /// completed `(location, heading)` capture is journaled (annotation as
-    /// the payload, scene fee journaled first by the billing-wrapped
-    /// service), so a resumed run replays completed units instead of
-    /// re-capturing — and never bills a scene twice. A worker panic is
-    /// journaled forensically and surfaced as a clean error naming the
-    /// poisoned input index, instead of unwinding through the pool.
+    /// [`SurveyPipeline::run`] with crash-safe checkpointing: the survey
+    /// runs as one supervised shard of [`crate::run_supervised`] with the
+    /// default policy, so each completed `(location, heading)` capture is
+    /// journaled (annotation as the payload, scene fee journaled first by
+    /// the billing-wrapped service) and a resumed run replays completed
+    /// units instead of re-capturing — and never bills a scene twice. A
+    /// failing location is retried, then quarantined, and the survey's
+    /// [`SurveyDataset::coverage`] says so.
     ///
     /// # Errors
     ///
-    /// Returns configuration errors, geography-sampling failures,
-    /// imagery-service failures, store failures, or [`Error::Service`]
-    /// when a capture worker panics.
+    /// Returns configuration errors, geography-sampling failures, store
+    /// failures, or dataset-assembly failures.
     pub fn run_with_store(&self, store: Option<Arc<dyn CheckpointStore>>) -> Result<SurveyDataset> {
-        self.config.validate()?;
-        let sample = SurveySample::draw_regions(
-            &self.config.regions,
-            self.config.locations,
-            self.config.network_scale,
-            self.config.seed,
-        )?;
-        // borrowed slice: the service indexes the points itself; no
-        // second owned copy of the sample is materialized here
-        let mut service = StreetViewService::new(self.config.seed, sample.points());
-        if let Some(store) = &store {
-            service = service.with_billing_store(Arc::clone(store))?;
-        }
-        let service = Arc::new(service);
-        let labeler = HumanLabeler::new(
-            self.config.labeler_profile(),
-            child_seed(self.config.seed, "labeler"),
-        );
-
-        // One task per (location, heading) pair, fanned out over the
-        // execution substrate. The labeler is seeded per image id, so the
-        // output is bit-identical at any worker count; captures go through
-        // the service so each scene is labeled (and billed) exactly once
-        // without being painted, and later pixel fetches for the same
-        // image are cache hits that render the scene without a second fee.
-        let pairs: Vec<(LocationId, Heading)> = service
-            .covered_locations()
-            .into_iter()
-            .flat_map(|location| Heading::ALL.iter().map(move |&heading| (location, heading)))
-            .collect();
-        let mut pool = ScopedPool::new(self.config.parallelism);
+        let survey = run_supervised(
+            &self.config,
+            ShardPlan::one(),
+            SupervisePolicy::default(),
+            None,
+            store,
+            self.obs.as_ref(),
+        )?
+        .into_survey();
         if let Some(obs) = &self.obs {
-            pool = pool.with_metrics(Arc::clone(obs.registry()));
+            survey.imagery_usage().publish(obs.registry());
         }
-        let capture_stage = self.obs.as_ref().map(|obs| obs.tracer().enter("capture"));
-        let mapped = pool.try_map(&pairs, |&(location, heading)| -> Result<ImageLabels> {
-            capture_unit(
-                &service,
-                &labeler,
-                store.as_ref(),
-                self.config.image_size,
-                location,
-                heading,
-            )
-        });
-        if let Some(stage) = capture_stage {
-            stage.record();
-        }
-        let annotations: Vec<ImageLabels> = match mapped {
-            Ok(items) => items.into_iter().collect::<Result<_>>()?,
-            Err(panicked) => {
-                if let Some(store) = &store {
-                    // forensic only — best-effort, since the journal itself
-                    // may be the thing that is dying
-                    let _ = store.save(
-                        PANIC_RECORD_KIND,
-                        &panicked.index.to_string(),
-                        serde_json::json!({ "message": panicked.message }),
-                    );
-                }
-                return Err(Error::service(format!("survey capture {panicked}")));
-            }
-        };
-        let dataset = LabeledDataset::build(
-            annotations,
-            self.config.image_size,
-            self.config.split,
-            child_seed(self.config.seed, "split"),
-        )?;
-        if let Some(obs) = &self.obs {
-            service.usage().publish(obs.registry());
-        }
-        Ok(SurveyDataset {
-            config: self.config.clone(),
-            service,
-            dataset,
-            coverage: None,
-        })
+        Ok(survey)
     }
-}
-
-/// One capture-annotate unit: replay the journaled annotation when the
-/// store has it, otherwise capture through the service (billing the scene
-/// fee via the billing store first), annotate, and journal the result —
-/// save-before-act end to end. Shared by the eager pipeline fan-out and the
-/// sharded streaming path so both produce bit-identical records.
-pub(crate) fn capture_unit(
-    service: &StreetViewService,
-    labeler: &HumanLabeler,
-    store: Option<&Arc<dyn CheckpointStore>>,
-    image_size: u32,
-    location: LocationId,
-    heading: Heading,
-) -> Result<ImageLabels> {
-    let id = ImageId::new(location, heading);
-    if let Some(store) = store {
-        // replay: the annotation was journaled after its scene fee,
-        // so a journaled capture implies a journaled (restored,
-        // prepaid) fee — the unit is skipped whole
-        if let Some(value) = store.load(CAPTURE_RECORD_KIND, &id.to_string()) {
-            let record = format!("capture record {id}");
-            let labels: ImageLabels = serde_json::from_value(value)
-                .map_err(|e| Error::parse(format!("{record}: {e}")))?;
-            check_replayed_labels(&labels, |image| image == id, &record)?;
-            return Ok(labels);
-        }
-    }
-    let request = ImageRequest::builder(location, heading)
-        .size(image_size)
-        .build()?;
-    let capture = service.capture(&request)?;
-    let truth = ImageLabels::with_objects(id, capture.objects);
-    let labels = labeler.annotate(&truth, image_size);
-    if let Some(store) = store {
-        store.save(
-            CAPTURE_RECORD_KIND,
-            &id.to_string(),
-            serde_json::to_value(&labels)
-                .map_err(|e| Error::parse(format!("capture record {id}: {e}")))?,
-        )?;
-    }
-    Ok(labels)
-}
-
-/// Checks journaled labels before they can reach the dataset: a replayed
-/// record is input from outside the process, so labels for an image the
-/// record does not `cover`, or a box that is non-finite or has a negative
-/// size, is an [`Error::Parse`] naming `record`, never a silent misparse.
-/// Shared by the capture-record and shard-record replays.
-pub(crate) fn check_replayed_labels(
-    labels: &ImageLabels,
-    covers: impl Fn(ImageId) -> bool,
-    record: &str,
-) -> Result<()> {
-    let bad = |what: String| Error::parse(format!("{record}: {what}"));
-    if !covers(labels.image) {
-        return Err(bad(format!("labels are for {}", labels.image)));
-    }
-    for (i, object) in labels.objects.iter().enumerate() {
-        let b = object.bbox;
-        if ![b.x, b.y, b.w, b.h].iter().all(|v| v.is_finite()) || b.w < 0.0 || b.h < 0.0 {
-            return Err(bad(format!(
-                "{}: object {i}: non-finite or negative-size box",
-                labels.image
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// A completed survey: the imagery service, the human-labeled dataset, and
@@ -233,22 +90,22 @@ pub struct SurveyDataset {
     config: SurveyConfig,
     service: Arc<StreetViewService>,
     dataset: LabeledDataset,
-    coverage: Option<crate::CoverageReport>,
+    coverage: CoverageReport,
 }
 
 impl SurveyDataset {
-    /// Assembles a survey from parts the sharded runner built itself.
+    /// Assembles a survey from parts the survey driver built itself.
     pub(crate) fn from_parts(
         config: SurveyConfig,
         service: Arc<StreetViewService>,
         dataset: LabeledDataset,
-        coverage: crate::CoverageReport,
+        coverage: CoverageReport,
     ) -> SurveyDataset {
         SurveyDataset {
             config,
             service,
             dataset,
-            coverage: Some(coverage),
+            coverage,
         }
     }
 
@@ -257,17 +114,16 @@ impl SurveyDataset {
         &self.config
     }
 
-    /// The coverage report, when this survey came from the shard driver
-    /// ([`crate::run_supervised`]). The eager [`SurveyPipeline`] runs to
-    /// full coverage or aborts, so it carries `None`.
-    pub fn coverage(&self) -> Option<&crate::CoverageReport> {
-        self.coverage.as_ref()
+    /// The coverage report: what the survey planned, completed,
+    /// quarantined and skipped, per shard and per region.
+    pub fn coverage(&self) -> &CoverageReport {
+        &self.coverage
     }
 
-    /// The honest location-coverage fraction: `1.0` unless a supervised
-    /// run quarantined or skipped locations.
+    /// The honest location-coverage fraction: `1.0` unless the run
+    /// quarantined or skipped locations.
     pub fn coverage_fraction(&self) -> f64 {
-        self.coverage.as_ref().map_or(1.0, |c| c.fraction())
+        self.coverage.fraction()
     }
 
     /// The human-labeled dataset (annotations + split).
@@ -320,7 +176,8 @@ impl SurveyDataset {
         ids.iter().map(|&id| self.context(id)).collect()
     }
 
-    /// Imagery-service usage so far (requests, fees, cache hits).
+    /// Imagery-service usage so far (requests, fees, cache hits): the
+    /// survey run's bill, plus any pixel fetches since.
     pub fn imagery_usage(&self) -> UsageMeter {
         self.service.usage()
     }
@@ -437,14 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn obs_records_capture_span_and_publishes_imagery_usage() {
+    fn obs_records_shard_span_and_publishes_imagery_usage() {
         let obs = Obs::default();
         let survey = SurveyPipeline::new(SurveyConfig::smoke(17))
             .with_obs(obs.clone())
             .run()
             .unwrap();
         let summary = obs.summary();
-        assert!(summary.spans.iter().any(|s| s.key == "capture"));
+        assert!(summary.spans.iter().any(|s| s.key == "shard-0"));
         let counters = &summary.metrics.counters;
         assert_eq!(
             counters.get(nbhd_exec::TASKS_METRIC).copied().unwrap_or(0) as usize,
@@ -458,60 +315,6 @@ mod tests {
         // observing must not perturb the dataset
         let plain = SurveyPipeline::new(SurveyConfig::smoke(17)).run().unwrap();
         assert_eq!(plain.dataset(), survey.dataset());
-    }
-
-    /// Runs one capture unit for `id` over a store that already holds
-    /// `record` for it, so the unit replays instead of capturing.
-    fn replay(id: ImageId, record: &str) -> Result<ImageLabels> {
-        let store: Arc<dyn CheckpointStore> = Arc::new(nbhd_journal::MemoryStore::new());
-        let value = serde_json::from_str(record).unwrap();
-        store
-            .save(CAPTURE_RECORD_KIND, &id.to_string(), value)
-            .unwrap();
-        let config = SurveyConfig::smoke(19);
-        let labeler = HumanLabeler::new(config.labeler_profile(), 19);
-        let service = StreetViewService::new(19, &[]);
-        capture_unit(
-            &service,
-            &labeler,
-            Some(&store),
-            128,
-            id.location,
-            id.heading,
-        )
-    }
-
-    /// A capture record of one sidewalk box of width `w`.
-    fn record(image: ImageId, w: f32) -> String {
-        let bbox = nbhd_types::BBox::new(1.0, 2.0, w, 4.0);
-        let object = nbhd_types::ObjectLabel::new(nbhd_types::Indicator::Sidewalk, bbox);
-        serde_json::to_string(&ImageLabels::with_objects(image, vec![object])).unwrap()
-    }
-
-    fn assert_parse_error(out: Result<ImageLabels>, id: ImageId) {
-        let prefix = format!("capture record {id}: ");
-        assert!(
-            matches!(&out, Err(Error::Parse(m)) if m.starts_with(&prefix)),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn replayed_capture_record_for_another_image_is_a_parse_error() {
-        let id = ImageId::new(LocationId(3), Heading::North);
-        assert_eq!(replay(id, &record(id, 3.0)).unwrap().image, id);
-        let other = ImageId::new(LocationId(4), Heading::North);
-        assert_parse_error(replay(id, &record(other, 3.0)), id);
-    }
-
-    #[test]
-    fn replayed_capture_record_with_a_bad_box_is_a_parse_error() {
-        let id = ImageId::new(LocationId(3), Heading::East);
-        assert_parse_error(replay(id, &record(id, -3.0)), id);
-        // 1e39 overflows f32 to infinity on decode
-        let infinite = record(id, 7.25).replace("7.25", "1e39");
-        assert_ne!(infinite, record(id, 7.25));
-        assert_parse_error(replay(id, &infinite), id);
     }
 
     #[test]

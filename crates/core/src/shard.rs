@@ -1,28 +1,27 @@
 //! The streaming sharded data path: generate → capture → label, one shard
 //! of the survey at a time.
 //!
-//! [`crate::run_supervised`] drives the same capture-annotate units as
-//! [`crate::SurveyPipeline`], but never registers more than one shard's
-//! points at once: each shard gets its own [`StreetViewService`] registered
-//! over just that shard's points, the shard is captured and labeled, its
+//! [`crate::run_supervised`] never registers more than one shard's points
+//! at once: each shard gets its own [`StreetViewService`] registered over
+//! just that shard's points, the shard is captured and labeled, its
 //! annotations are folded out, and the service (with its cache of billed
 //! scene keys) is dropped before the next shard loads. No service keeps
 //! pixels, and a capture paints none: it labels the scene for its unit to
 //! annotate, and a later pixel fetch renders the scene. On clean data the
-//! merged [`crate::SurveyDataset`] is **byte-identical** to the unsharded
-//! pipeline's at any shard count and any worker count — shard membership
-//! is a pure function of the location id ([`ShardPlan::assign`]), every
-//! capture unit is seeded by its image id, and [`merge_shard_annotations`]
-//! folds the batches back into the pipeline's canonical order.
+//! merged [`crate::SurveyDataset`] is **byte-identical** at any shard count
+//! and any worker count — shard membership is a pure function of the
+//! location id ([`ShardPlan::assign`]), every capture unit is seeded by its
+//! image id, and [`merge_shard_annotations`] folds the batches back into
+//! one canonical order.
 //!
 //! This module holds what the stream yields — the [`ShardedOutcome`], the
 //! merge, and the [`SurveyShardSource`] that trains over the shards — and
 //! the stream's metric names. With a [`CheckpointStore`] attached the
 //! stream is crash-safe at two granularities: a completed shard replays
 //! from its one shard record, and a shard that died midway re-runs with its
-//! completed capture units (and their scene fees) replayed from the same
-//! capture records the unsharded pipeline writes, so a run journaled
-//! unsharded resumes sharded.
+//! completed capture units (and their scene fees) replayed from their
+//! capture records, which do not depend on the shard count, so a run
+//! journaled at one shard count resumes at another.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,8 +53,8 @@ pub const SHARD_WALL_MS_HIST: &str = "core.shard.wall_ms";
 /// Counter: how many shards the run was split into.
 pub const SHARD_COUNT_METRIC: &str = "core.shard.count";
 
-/// The outcome of a sharded run: the merged survey plus the memory and
-/// billing accounting the streaming pass observed.
+/// The outcome of a sharded run: the merged survey plus the memory
+/// accounting the streaming pass observed.
 #[derive(Debug)]
 pub struct ShardedOutcome {
     pub(crate) survey: SurveyDataset,
@@ -65,12 +64,10 @@ pub struct ShardedOutcome {
     pub(crate) obs: Option<Obs>,
     pub(crate) peak_resident_scenes: usize,
     pub(crate) shard_images: Vec<usize>,
-    pub(crate) billed_images: u64,
-    pub(crate) fees_usd: f64,
 }
 
 impl ShardedOutcome {
-    /// The merged survey — byte-identical to the unsharded pipeline's.
+    /// The merged survey — byte-identical at any shard count.
     pub fn survey(&self) -> &SurveyDataset {
         &self.survey
     }
@@ -80,10 +77,10 @@ impl ShardedOutcome {
         self.survey
     }
 
-    /// The run's coverage report. Always present: every sharded run is
-    /// supervised, so a capture failure quarantines and shows here.
+    /// The run's coverage report. Always `Some`: every run is supervised,
+    /// so a capture failure quarantines and shows here.
     pub fn coverage(&self) -> Option<&crate::CoverageReport> {
-        self.survey.coverage()
+        Some(self.survey.coverage())
     }
 
     /// Peak scene keys cached at once across the whole run: the maximum of
@@ -98,15 +95,15 @@ impl ShardedOutcome {
     }
 
     /// Scenes billed across the run (all shards, all processes when
-    /// journaled).
+    /// journaled), as the survey's meter reads them.
     pub fn billed_images(&self) -> u64 {
-        self.billed_images
+        self.survey.imagery_usage().billed_images
     }
 
-    /// Total imagery fees in USD, folded by repeated addition in shard
-    /// order — byte-identical to the unsharded pipeline's accumulation.
+    /// Total imagery fees in USD, as the survey's meter reads them: folded
+    /// by repeated addition, so the bits do not depend on the shard count.
     pub fn fees_usd(&self) -> f64 {
-        self.fees_usd
+        self.survey.imagery_usage().fees_usd
     }
 
     /// A [`ShardSource`] over this survey: each `load` rebuilds a
@@ -151,10 +148,10 @@ impl ShardedOutcome {
             trainer = trainer.with_obs(obs.clone());
             // a partial survey trains on what it has; the gauge makes the
             // shortfall part of the training run's observable identity
-            if let Some(coverage) = self.survey.coverage() {
-                obs.registry()
-                    .set_gauge(crate::COVERAGE_FRACTION_GAUGE, coverage.fraction());
-            }
+            obs.registry().set_gauge(
+                crate::COVERAGE_FRACTION_GAUGE,
+                self.survey.coverage_fraction(),
+            );
         }
         let source = self.shard_source();
         let split = self.survey.dataset().split();

@@ -1,13 +1,14 @@
 //! The shard driver: the streaming shard pass under supervision — poison
 //! quarantine, bounded retries, and honest partial-run coverage.
 //!
-//! [`run_supervised`] is the one shard driver. It streams the survey shard
-//! by shard (the `shard` module holds the stream's outcome and the merge),
-//! and survives bad data instead of aborting on it. One private loop runs
-//! the shard pass for every caller: `run_supervised` runs all shards in
-//! process, and [`crate::run_shard_distributed`] runs one shard in its own
-//! process; one private publish function turns either run's
-//! [`CoverageReport`] into metrics, so the two agree by summation.
+//! [`run_supervised`] is the one survey driver ([`crate::SurveyPipeline`]
+//! runs its one-shard case). It streams the survey shard by shard (the
+//! `shard` module holds the stream's outcome and the merge), and survives
+//! bad data instead of aborting on it. One private loop runs the shard
+//! pass for every caller: `run_supervised` runs all shards in process, and
+//! [`crate::run_shard_distributed`] runs one shard in its own process; one
+//! private publish function turns either run's [`CoverageReport`] into
+//! metrics, so the two agree by summation.
 //!
 //! Each capture-annotate unit runs under a panic catcher; a location whose
 //! units fail is retried up to [`SupervisePolicy::max_attempts`] times with
@@ -39,18 +40,21 @@ use std::time::Instant;
 use nbhd_annotate::{HumanLabeler, LabeledDataset};
 use nbhd_exec::{panic_message, ScopedPool};
 use nbhd_geo::{ShardPlan, SurveySample};
-use nbhd_gsv::{PoisonSchedule, StreetViewService, FEE_PER_IMAGE_USD};
+use nbhd_gsv::{ImageRequest, PoisonSchedule, StreetViewService};
 use nbhd_journal::CheckpointStore;
 use nbhd_obs::{MetricsRegistry, Obs, VirtualClock};
 use nbhd_types::rng::child_seed;
-use nbhd_types::{Error, Heading, ImageLabels, Indicator, LocationId, Result};
+use nbhd_types::{Error, Heading, ImageId, ImageLabels, Indicator, LocationId, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::pipeline::{capture_unit, check_replayed_labels};
 use crate::shard::{merge_shard_annotations, ShardedOutcome};
 use crate::{
     SurveyConfig, SurveyDataset, SHARD_COUNT_METRIC, SHARD_PEAK_GAUGE, SHARD_WALL_MS_HIST,
 };
+
+/// Journal record kind for completed `(location, heading)` captures: the
+/// payload is the verified human annotation for that image.
+pub const CAPTURE_RECORD_KIND: &str = "capture";
 
 /// Journal record kind for a completed shard: annotations plus the shard's
 /// coverage facts, so a resumed run replays outcome and honesty together.
@@ -103,7 +107,9 @@ pub struct SupervisePolicy {
     pub backoff_ms: u64,
     /// Virtual-time budget per shard; `None` disables the watchdog.
     pub shard_deadline_ms: Option<u64>,
-    /// Locations dispatched per supervised batch (watchdog granularity).
+    /// Locations dispatched per supervised batch under a
+    /// `shard_deadline_ms`: the watchdog checks its deadline between
+    /// batches. Without a deadline each shard is dispatched as one batch.
     pub batch_locations: usize,
 }
 
@@ -417,6 +423,75 @@ enum RetryEntry {
     Quarantined(QuarantineRecord),
 }
 
+/// One capture-annotate unit: replay the journaled annotation when the
+/// store has it, otherwise capture through the service (billing the scene
+/// fee via the billing store first), annotate, and journal the result —
+/// save-before-act end to end. Capture records are keyed by image id, so
+/// they replay at any shard count.
+fn capture_unit(
+    service: &StreetViewService,
+    labeler: &HumanLabeler,
+    store: Option<&Arc<dyn CheckpointStore>>,
+    image_size: u32,
+    location: LocationId,
+    heading: Heading,
+) -> Result<ImageLabels> {
+    let id = ImageId::new(location, heading);
+    if let Some(store) = store {
+        // replay: the annotation was journaled after its scene fee,
+        // so a journaled capture implies a journaled (restored,
+        // prepaid) fee — the unit is skipped whole
+        if let Some(value) = store.load(CAPTURE_RECORD_KIND, &id.to_string()) {
+            let record = format!("capture record {id}");
+            let labels: ImageLabels = serde_json::from_value(value)
+                .map_err(|e| Error::parse(format!("{record}: {e}")))?;
+            check_replayed_labels(&labels, |image| image == id, &record)?;
+            return Ok(labels);
+        }
+    }
+    let request = ImageRequest::builder(location, heading)
+        .size(image_size)
+        .build()?;
+    let capture = service.capture(&request)?;
+    let truth = ImageLabels::with_objects(id, capture.objects);
+    let labels = labeler.annotate(&truth, image_size);
+    if let Some(store) = store {
+        store.save(
+            CAPTURE_RECORD_KIND,
+            &id.to_string(),
+            serde_json::to_value(&labels)
+                .map_err(|e| Error::parse(format!("capture record {id}: {e}")))?,
+        )?;
+    }
+    Ok(labels)
+}
+
+/// Checks journaled labels before they can reach the dataset: a replayed
+/// record is input from outside the process, so labels for an image the
+/// record does not `cover`, or a box that is non-finite or has a negative
+/// size, is an [`Error::Parse`] naming `record`, never a silent misparse.
+/// Shared by the capture-record and shard-record replays.
+fn check_replayed_labels(
+    labels: &ImageLabels,
+    covers: impl Fn(ImageId) -> bool,
+    record: &str,
+) -> Result<()> {
+    let bad = |what: String| Error::parse(format!("{record}: {what}"));
+    if !covers(labels.image) {
+        return Err(bad(format!("labels are for {}", labels.image)));
+    }
+    for (i, object) in labels.objects.iter().enumerate() {
+        let b = object.bbox;
+        if ![b.x, b.y, b.w, b.h].iter().all(|v| v.is_finite()) || b.w < 0.0 || b.h < 0.0 {
+            return Err(bad(format!(
+                "{}: object {i}: non-finite or negative-size box",
+                labels.image
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// One capture-annotate unit under the panic catcher: a total function from
 /// the unit to an annotation or a typed cause — never an unwind.
 fn run_unit(
@@ -462,9 +537,15 @@ fn save_attempt(
 /// Runs the survey as a sharded stream: capture and label shard `0..n`,
 /// each over its own shard-scoped service, then merge into one
 /// [`SurveyDataset`] carrying an honest [`CoverageReport`]. This is the
-/// only in-process shard driver; `SupervisePolicy::default()` with no
-/// poison is the plain bounded-memory stream, byte-identical to
-/// [`crate::SurveyPipeline`] on clean data.
+/// only survey driver: [`crate::SurveyPipeline`] is its one-shard case
+/// with `SupervisePolicy::default()` and no poison, and the merged dataset
+/// does not depend on the shard count.
+///
+/// The survey's imagery meter is the run's bill: it starts at the scenes
+/// billed (across every process, when journaled), their fees folded by
+/// repeated addition, and the requests and cache hits this process's
+/// shard services counted. Every scene the run billed or replayed is
+/// prepaid, so a later pixel fetch of a dataset image is a cache hit.
 ///
 /// Every capture-annotate unit runs under a panic catcher, so a failing
 /// location is retried, then quarantined — it never aborts the run.
@@ -504,12 +585,24 @@ pub fn run_supervised(
         .map(|p| p.peak_resident_scenes)
         .max()
         .unwrap_or(0);
-    let billed_fresh: u64 = passes.iter().map(|p| p.billed).sum();
     let shard_images = passes.iter().map(|p| p.annotations.len()).collect();
-    let (batches, coverages): (Vec<_>, Vec<_>) = passes
-        .into_iter()
-        .map(|p| (p.annotations, p.coverage))
-        .unzip();
+
+    // The post-merge service is clean (quarantined locations are excluded
+    // from the dataset, never re-fetched) and is the run's ledger: a
+    // billing store restores every journaled fee, including fees for units
+    // of locations later quarantined, and each shard hands over the scenes
+    // it billed fresh and the traffic it counted.
+    let mut service = StreetViewService::new(config.seed, sample.points());
+    if let Some(store) = &store {
+        service = service.with_billing_store(Arc::clone(store))?;
+    }
+    let mut batches = Vec::with_capacity(passes.len());
+    let mut coverages = Vec::with_capacity(passes.len());
+    for pass in passes {
+        service = service.with_ledger(pass.billed, pass.requests, pass.cache_hits);
+        batches.push(pass.annotations);
+        coverages.push(pass.coverage);
+    }
     let annotations = merge_shard_annotations(batches);
     let report = build_report(coverages);
     if let Some(obs) = obs {
@@ -522,27 +615,6 @@ pub fn run_supervised(
         child_seed(config.seed, "split"),
     )?;
 
-    // Clean full-coverage service for post-merge pixel consumers; with a
-    // billing store every journaled fee restores as prepaid — including
-    // fees for units of locations later quarantined, so billing stays
-    // honest about money actually spent.
-    let mut service = StreetViewService::new(config.seed, sample.points());
-    if let Some(store) = &store {
-        service = service.with_billing_store(Arc::clone(store))?;
-    }
-    let (billed_images, fees_usd) = if store.is_some() {
-        let usage = service.usage();
-        (usage.billed_images, usage.fees_usd)
-    } else {
-        // fold by repeated addition, matching the unsharded meter's
-        // accumulation order, so totals are byte-identical
-        let mut fees = 0.0f64;
-        for _ in 0..billed_fresh {
-            fees += FEE_PER_IMAGE_USD;
-        }
-        (billed_fresh, fees)
-    };
-
     let survey = SurveyDataset::from_parts(config.clone(), Arc::new(service), dataset, report);
     Ok(ShardedOutcome {
         survey,
@@ -552,8 +624,6 @@ pub fn run_supervised(
         obs: obs.cloned(),
         peak_resident_scenes: peak,
         shard_images,
-        billed_images,
-        fees_usd,
     })
 }
 
@@ -563,8 +633,12 @@ pub(crate) struct ShardPass {
     pub(crate) annotations: Vec<ImageLabels>,
     /// The shard service's scene high-water mark.
     pub(crate) peak_resident_scenes: usize,
-    /// Scenes billed fresh by this process.
-    pub(crate) billed: u64,
+    /// Scenes billed fresh by this process, in billing order.
+    pub(crate) billed: Vec<(ImageId, u32)>,
+    /// Requests the shard service counted in this process.
+    pub(crate) requests: u64,
+    /// Cache hits the shard service counted in this process.
+    pub(crate) cache_hits: u64,
     /// The shard's coverage facts.
     pub(crate) coverage: ShardCoverage,
 }
@@ -688,7 +762,9 @@ fn run_shard_supervised(
             return Ok(ShardPass {
                 annotations: record.annotations,
                 peak_resident_scenes: record.peak_resident_scenes,
-                billed: 0,
+                billed: Vec::new(),
+                requests: 0,
+                cache_hits: 0,
                 coverage: record.coverage,
             });
         }
@@ -702,7 +778,6 @@ fn run_shard_supervised(
     if let Some(store) = store {
         service = service.with_billing_store(Arc::clone(store))?;
     }
-    let billed_before = service.usage().billed_images;
     let planned = service.covered_locations();
     let planned_set: HashSet<LocationId> = planned.iter().copied().collect();
 
@@ -747,8 +822,13 @@ fn run_shard_supervised(
     // Phase 1: dispatch planned locations in batches through the pool.
     // Stall charges cover every planned location in the batch — executed,
     // ledgered, or quarantined — so virtual time is a function of the plan,
-    // not of this process's history.
-    let batch = policy.batch_locations.max(1);
+    // not of this process's history. Batches only give the watchdog its
+    // granularity: without a deadline the shard is one batch.
+    let batch = match policy.shard_deadline_ms {
+        Some(_) => policy.batch_locations,
+        None => planned.len(),
+    }
+    .max(1);
     let mut idx = 0usize;
     while idx < planned.len() {
         if expired(timed_out) {
@@ -927,7 +1007,6 @@ fn run_shard_supervised(
         regions,
     };
     let peak = service.peak_resident_scenes();
-    let billed = service.usage().billed_images - billed_before;
     if let Some(store) = store {
         store.save(
             SHARD_KIND,
@@ -940,10 +1019,13 @@ fn run_shard_supervised(
             .map_err(|e| Error::parse(format!("shard record {key}: {e}")))?,
         )?;
     }
+    let usage = service.usage();
     Ok(ShardPass {
         annotations,
         peak_resident_scenes: peak,
-        billed,
+        billed: service.billed_scenes(),
+        requests: usage.requests,
+        cache_hits: usage.cache_hits,
         coverage,
     })
 }
@@ -1073,7 +1155,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let report = serial.survey().coverage().unwrap();
+        let report = serial.survey().coverage();
         assert!(report.fraction() < 1.0, "poison must cost coverage");
         assert!(report.quarantined_count() > 0);
         assert!(
@@ -1086,7 +1168,7 @@ mod tests {
         assert!(causes.contains_key("panic") && causes.contains_key("corrupt"));
         assert_eq!(
             report_bytes(report),
-            report_bytes(parallel.survey().coverage().unwrap()),
+            report_bytes(parallel.survey().coverage()),
             "coverage must be byte-identical at any worker count"
         );
         assert_eq!(serial.survey().dataset(), parallel.survey().dataset());
@@ -1103,7 +1185,7 @@ mod tests {
             ..SupervisePolicy::default()
         };
         let outcome = run_supervised(&config, plan, policy, Some(poison), None, None).unwrap();
-        let report = outcome.survey().coverage().unwrap();
+        let report = outcome.survey().coverage();
         assert_eq!(report.timed_out_shards(), 1);
         assert_eq!(report.shards[0].outcome, ShardOutcome::TimedOut);
         assert!(report.skipped_count() > 0, "timeout must skip the tail");
@@ -1137,8 +1219,8 @@ mod tests {
         .unwrap();
         let fresh = run_supervised(&config, plan, policy, Some(poison), None, None).unwrap();
         assert_eq!(
-            report_bytes(first.survey().coverage().unwrap()),
-            report_bytes(fresh.survey().coverage().unwrap()),
+            report_bytes(first.survey().coverage()),
+            report_bytes(fresh.survey().coverage()),
             "journaling must not change coverage"
         );
         let resumed = run_supervised(
@@ -1151,8 +1233,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            report_bytes(resumed.survey().coverage().unwrap()),
-            report_bytes(first.survey().coverage().unwrap()),
+            report_bytes(resumed.survey().coverage()),
+            report_bytes(first.survey().coverage()),
             "resume must replay identical coverage"
         );
         assert_eq!(resumed.survey().dataset(), first.survey().dataset());
@@ -1173,7 +1255,7 @@ mod tests {
         let obs = Obs::default();
         let outcome =
             run_supervised(&config, plan, policy, Some(poison), None, Some(&obs)).unwrap();
-        let report = outcome.survey().coverage().unwrap();
+        let report = outcome.survey().coverage();
         assert!(report.quarantined_count() > 0);
         let summary = obs.summary();
         let counters = &summary.metrics.counters;
@@ -1209,7 +1291,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let report = outcome.survey().coverage().unwrap();
+        let report = outcome.survey().coverage();
         assert_eq!(
             report.regions.iter().map(|r| r.planned).sum::<usize>(),
             report.planned_locations()
@@ -1244,6 +1326,60 @@ mod tests {
             ..SupervisePolicy::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    /// Runs one capture unit for `id` over a store that already holds
+    /// `record` for it, so the unit replays instead of capturing.
+    fn replay(id: ImageId, record: &str) -> Result<ImageLabels> {
+        let store: Arc<dyn CheckpointStore> = Arc::new(nbhd_journal::MemoryStore::new());
+        let value = serde_json::from_str(record).unwrap();
+        store
+            .save(CAPTURE_RECORD_KIND, &id.to_string(), value)
+            .unwrap();
+        let config = SurveyConfig::smoke(19);
+        let labeler = HumanLabeler::new(config.labeler_profile(), 19);
+        let service = StreetViewService::new(19, &[]);
+        capture_unit(
+            &service,
+            &labeler,
+            Some(&store),
+            128,
+            id.location,
+            id.heading,
+        )
+    }
+
+    /// A capture record of one sidewalk box of width `w`.
+    fn record(image: ImageId, w: f32) -> String {
+        let bbox = nbhd_types::BBox::new(1.0, 2.0, w, 4.0);
+        let object = nbhd_types::ObjectLabel::new(nbhd_types::Indicator::Sidewalk, bbox);
+        serde_json::to_string(&ImageLabels::with_objects(image, vec![object])).unwrap()
+    }
+
+    fn assert_parse_error(out: Result<ImageLabels>, id: ImageId) {
+        let prefix = format!("capture record {id}: ");
+        assert!(
+            matches!(&out, Err(Error::Parse(m)) if m.starts_with(&prefix)),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn replayed_capture_record_for_another_image_is_a_parse_error() {
+        let id = ImageId::new(LocationId(3), Heading::North);
+        assert_eq!(replay(id, &record(id, 3.0)).unwrap().image, id);
+        let other = ImageId::new(LocationId(4), Heading::North);
+        assert_parse_error(replay(id, &record(other, 3.0)), id);
+    }
+
+    #[test]
+    fn replayed_capture_record_with_a_bad_box_is_a_parse_error() {
+        let id = ImageId::new(LocationId(3), Heading::East);
+        assert_parse_error(replay(id, &record(id, -3.0)), id);
+        // 1e39 overflows f32 to infinity on decode
+        let infinite = record(id, 7.25).replace("7.25", "1e39");
+        assert_ne!(infinite, record(id, 7.25));
+        assert_parse_error(replay(id, &infinite), id);
     }
 
     #[test]

@@ -48,8 +48,7 @@ mod stats;
 pub use parallelism::Parallelism;
 pub use pool::{
     panic_message, par_map, par_map_chunked, par_map_indexed, par_map_indexed_with, par_map_with,
-    try_par_map, try_par_map_chunked, try_par_map_indexed_with, try_par_map_with, ScopedPool,
-    TaskPanicked,
+    ScopedPool, TaskPanicked,
 };
 pub use stats::{
     ExecSnapshot, BUSY_US_METRIC, CHUNKS_METRIC, CHUNK_ITEMS_HIST, PARALLEL_CALLS_METRIC,

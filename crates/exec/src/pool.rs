@@ -147,7 +147,7 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-    match try_par_map_chunked_metrics(workers, chunk, items, f, registry) {
+    match try_par_map_chunked(workers, chunk, items, f, registry) {
         Ok(out) => out,
         Err(panicked) => panic!("exec {panicked}"),
     }
@@ -162,45 +162,25 @@ where
 ///
 /// # Panics
 ///
-/// Re-panics with the poisoned item's input index when a closure panics;
-/// use [`try_par_map_chunked`] to handle that case as an error instead.
+/// Re-panics with the poisoned item's input index when a closure panics.
 pub fn par_map_chunked<T, R, F>(workers: usize, chunk: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    match try_par_map_chunked(workers, chunk, items, f) {
+    match try_par_map_chunked(workers, chunk, items, f, None) {
         Ok(out) => out,
         Err(panicked) => panic!("exec {panicked}"),
     }
 }
 
-/// Fallible twin of [`par_map_chunked`]: one panicking closure aborts the
+/// The fallible core under every map: one panicking closure aborts the
 /// map cleanly with [`TaskPanicked`] naming the input index, instead of
 /// unwinding through the pool. Workers stop claiming chunks as soon as a
-/// panic is observed; already-claimed chunks finish normally.
-///
-/// # Errors
-///
-/// Returns [`TaskPanicked`] when any closure invocation panics.
-pub fn try_par_map_chunked<T, R, F>(
-    workers: usize,
-    chunk: usize,
-    items: &[T],
-    f: F,
-) -> Result<Vec<R>, TaskPanicked>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    try_par_map_chunked_metrics(workers, chunk, items, f, None)
-}
-
-/// [`try_par_map_chunked`] recording into an optional run-scoped
-/// registry.
-fn try_par_map_chunked_metrics<T, R, F>(
+/// panic is observed; already-claimed chunks finish normally. Records
+/// into `registry` when one is attached.
+fn try_par_map_chunked<T, R, F>(
     workers: usize,
     chunk: usize,
     items: &[T],
@@ -308,79 +288,6 @@ where
     Ok(out)
 }
 
-/// Fallible [`par_map`]: surfaces worker panics as [`TaskPanicked`].
-///
-/// # Errors
-///
-/// Returns [`TaskPanicked`] when any closure invocation panics.
-pub fn try_par_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, TaskPanicked>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_par_map_with(Parallelism::auto(), items, f)
-}
-
-/// Fallible [`par_map_with`]: surfaces worker panics as [`TaskPanicked`].
-///
-/// # Errors
-///
-/// Returns [`TaskPanicked`] when any closure invocation panics.
-pub fn try_par_map_with<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    f: F,
-) -> Result<Vec<R>, TaskPanicked>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_par_map_indexed_with(parallelism, items, |_, item| f(item))
-}
-
-/// Fallible [`par_map_indexed_with`]: surfaces worker panics as
-/// [`TaskPanicked`].
-///
-/// # Errors
-///
-/// Returns [`TaskPanicked`] when any closure invocation panics.
-pub fn try_par_map_indexed_with<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    f: F,
-) -> Result<Vec<R>, TaskPanicked>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    try_par_map_indexed_metrics(parallelism, items, f, None)
-}
-
-/// [`try_par_map_indexed_with`] recording into an optional run-scoped
-/// registry.
-fn try_par_map_indexed_metrics<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    f: F,
-    registry: Option<&MetricsRegistry>,
-) -> Result<Vec<R>, TaskPanicked>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = parallelism.workers_for(n);
-    if workers <= 1 || n < MIN_PARALLEL_ITEMS {
-        return try_par_map_chunked_metrics(1, n.max(1), items, f, registry);
-    }
-    let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-    try_par_map_chunked_metrics(workers, chunk, items, f, registry)
-}
-
 /// A reusable handle over the substrate: holds a [`Parallelism`] setting
 /// and runs ordered maps under it. Layers that fan out repeatedly (the
 /// batch executor, the trainer) construct one and reuse it per region.
@@ -442,51 +349,6 @@ impl ScopedPool {
             self.metrics.as_deref(),
         )
     }
-
-    /// Ordered parallel map with input indices (see
-    /// [`par_map_indexed_with`]).
-    pub fn map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        par_map_indexed_metrics(self.parallelism, items, f, self.metrics.as_deref())
-    }
-
-    /// Fallible ordered map (see [`try_par_map_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskPanicked`] when any closure invocation panics.
-    pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, TaskPanicked>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        try_par_map_indexed_metrics(
-            self.parallelism,
-            items,
-            |_, item| f(item),
-            self.metrics.as_deref(),
-        )
-    }
-
-    /// Fallible ordered map with input indices (see
-    /// [`try_par_map_indexed_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskPanicked`] when any closure invocation panics.
-    pub fn try_map_indexed<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, TaskPanicked>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        try_par_map_indexed_metrics(self.parallelism, items, f, self.metrics.as_deref())
-    }
 }
 
 #[cfg(test)]
@@ -545,21 +407,30 @@ mod tests {
         let pool = ScopedPool::new(Parallelism::fixed(2));
         assert_eq!(pool.parallelism(), Parallelism::fixed(2));
         let a = pool.map(&[1u8, 2, 3, 4, 5, 6], |&x| x as u16 * 10);
-        let b = pool.map_indexed(&[1u8, 2, 3, 4, 5, 6], |i, &x| i as u16 + x as u16);
         assert_eq!(a, vec![10, 20, 30, 40, 50, 60]);
-        assert_eq!(b, vec![1, 3, 5, 7, 9, 11]);
+    }
+
+    /// The fallible core on `workers` threads over chunks of `chunk`,
+    /// unobserved.
+    fn try_map<T: Sync, R: Send>(
+        workers: usize,
+        chunk: usize,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Result<Vec<R>, TaskPanicked> {
+        try_par_map_chunked(workers, chunk, items, |_, item| f(item), None)
     }
 
     #[test]
     fn panic_surfaces_as_task_panicked_with_input_index() {
         let items: Vec<u32> = (0..100).collect();
-        for parallelism in [Parallelism::serial(), Parallelism::fixed(4)] {
-            let err = try_par_map_with(parallelism, &items, |&x| {
+        for (workers, chunk) in [(1, 100), (4, 7)] {
+            let err = try_map(workers, chunk, &items, |&x| {
                 assert!(x != 63, "item 63 is poisoned");
                 x * 2
             })
             .unwrap_err();
-            assert_eq!(err.index, 63, "{parallelism:?}");
+            assert_eq!(err.index, 63, "{workers} workers");
             assert!(err.message.contains("poisoned"), "{}", err.message);
         }
     }
@@ -567,7 +438,7 @@ mod tests {
     #[test]
     fn panic_message_preserves_string_payloads() {
         // &'static str payload (plain panic!)
-        let err = try_par_map_with(Parallelism::serial(), &[0u8], |&x| {
+        let err = try_map(1, 1, &[0u8], |&x| {
             if x == 0 {
                 panic!("static poison");
             }
@@ -577,7 +448,7 @@ mod tests {
         assert_eq!(err.message, "static poison");
 
         // String payload (formatted panic!)
-        let err = try_par_map_with(Parallelism::serial(), &[7u8], |&x| {
+        let err = try_map(1, 1, &[7u8], |&x| {
             if x == 7 {
                 panic!("formatted poison at {x}");
             }
@@ -589,7 +460,7 @@ mod tests {
 
     #[test]
     fn panic_message_reports_non_string_payloads_as_opaque() {
-        let err = try_par_map_with(Parallelism::serial(), &[0u8], |&x| {
+        let err = try_map(1, 1, &[0u8], |&x| {
             if x == 0 {
                 std::panic::panic_any(42usize);
             }
@@ -605,7 +476,7 @@ mod tests {
     #[test]
     fn lowest_index_wins_when_several_items_panic() {
         let items: Vec<u32> = (0..256).collect();
-        let err = try_par_map_with(Parallelism::fixed(4), &items, |&x| {
+        let err = try_map(4, 16, &items, |&x| {
             assert!(x % 2 == 0, "odd item");
             x
         })
@@ -621,8 +492,9 @@ mod tests {
         // cleanly right after a poisoned run
         let items: Vec<u32> = (0..64).collect();
         let pool = ScopedPool::new(Parallelism::fixed(3));
-        assert!(pool.try_map(&items, |&x| assert!(x != 10)).is_err());
-        let out = pool.try_map(&items, |&x| x + 1).unwrap();
+        let poisoned = std::panic::catch_unwind(|| pool.map(&items, |&x| assert!(x != 10)));
+        assert!(poisoned.is_err());
+        let out = pool.map(&items, |&x| x + 1);
         assert_eq!(out.len(), 64);
         assert_eq!(out[63], 64);
     }
@@ -643,14 +515,11 @@ mod tests {
     }
 
     #[test]
-    fn try_map_matches_map_on_clean_inputs() {
+    fn fallible_core_matches_map_on_clean_inputs() {
         let items: Vec<u64> = (0..257).collect();
-        let ok = try_par_map(&items, |&x| x.wrapping_mul(7)).unwrap();
+        let ok = try_map(3, 10, &items, |&x| x.wrapping_mul(7)).unwrap();
         let plain = par_map(&items, |&x| x.wrapping_mul(7));
         assert_eq!(ok, plain);
-        let pool = ScopedPool::new(Parallelism::fixed(2));
-        let indexed = pool.try_map_indexed(&items, |i, &x| i as u64 + x).unwrap();
-        assert_eq!(indexed[200], 400);
     }
 
     #[test]
@@ -659,7 +528,7 @@ mod tests {
         let pool = ScopedPool::new(Parallelism::fixed(3)).with_metrics(Arc::clone(&registry));
         let items: Vec<u64> = (0..64).collect();
         let _ = pool.map(&items, |&x| x + 1);
-        let _ = pool.try_map(&items, |&x| x + 2).unwrap();
+        let _ = pool.map(&items, |&x| x + 2);
         let snapshot = crate::ExecSnapshot::from_metrics(&registry.snapshot());
         assert_eq!(snapshot.tasks, 128);
         assert_eq!(snapshot.parallel_calls + snapshot.serial_calls, 2);
@@ -671,7 +540,7 @@ mod tests {
         let count_tasks = |parallelism: Parallelism| {
             let registry = Arc::new(MetricsRegistry::new());
             let pool = ScopedPool::new(parallelism).with_metrics(Arc::clone(&registry));
-            let _ = pool.map_indexed(&items, |i, &x| i as u64 + x);
+            let _ = pool.map(&items, |&x| x + 1);
             registry.snapshot().counters[crate::stats::TASKS_METRIC]
         };
         assert_eq!(

@@ -79,11 +79,6 @@ impl RoadNetwork {
         &self.edges
     }
 
-    /// Total road length in feet.
-    pub fn total_length_feet(&self) -> f64 {
-        self.edges.iter().map(RoadEdge::length_feet).sum()
-    }
-
     /// Synthesizes a network inside `bounds`.
     ///
     /// `zone_mix` gives the fraction of tracts that are urban / suburban /
@@ -236,11 +231,5 @@ mod tests {
         assert!(bearing.abs() < 0.5, "northbound, got {bearing}");
         assert!(e.point_at(len + 1.0).is_none());
         assert!(e.point_at(-1.0).is_none());
-    }
-
-    #[test]
-    fn total_length_is_positive() {
-        let n = RoadNetwork::synthesize(bounds(), [0.3, 0.3, 0.4], 1.0, 9);
-        assert!(n.total_length_feet() > 10_000.0);
     }
 }

@@ -111,6 +111,8 @@ struct ServiceState {
     usage: UsageMeter,
     cache: HashSet<(ImageId, u32)>,
     cache_order: VecDeque<(ImageId, u32)>,
+    /// Every scene this service billed, in billing order.
+    billed: Vec<(ImageId, u32)>,
     /// High-water mark of cached scene keys, reported by sharded runs.
     peak_resident: usize,
 }
@@ -152,23 +154,48 @@ impl StreetViewService {
     ///
     /// Returns [`Error::Parse`] when a restored fee record is malformed.
     pub fn with_billing_store(mut self, store: Arc<dyn CheckpointStore>) -> Result<Self> {
-        let mut usage = UsageMeter::default();
         for (key, payload) in store.load_kind(FEE_RECORD_KIND) {
             let fee: FeeRecord = serde_json::from_value(payload)
                 .map_err(|e| Error::parse(format!("fee record {key}: {e}")))?;
             let heading = *Heading::ALL
                 .get(fee.heading as usize)
                 .ok_or_else(|| Error::parse(format!("fee record {key}: bad heading")))?;
-            let id = ImageId::new(LocationId(fee.location), heading);
-            self.prepaid.insert((id, fee.size));
-            usage.billed_images += 1;
-            // restore by repeated addition, matching the fold order of the
-            // uninterrupted run, so resumed fee totals are byte-identical
-            usage.fees_usd += FEE_PER_IMAGE_USD;
+            self.prepay((ImageId::new(LocationId(fee.location), heading), fee.size));
         }
-        self.state.lock().usage = usage;
         self.billing = Some(store);
         Ok(self)
+    }
+
+    /// Carries the books of a run's earlier services over to this one:
+    /// every scene in `billed` (what [`StreetViewService::billed_scenes`]
+    /// returned) is prepaid here, and `requests` and `cache_hits` add to
+    /// the meter. A later request for any of those scenes is a cache hit,
+    /// never a fee.
+    #[must_use]
+    pub fn with_ledger(
+        mut self,
+        billed: impl IntoIterator<Item = (ImageId, u32)>,
+        requests: u64,
+        cache_hits: u64,
+    ) -> Self {
+        for key in billed {
+            self.prepay(key);
+        }
+        let usage = &mut self.state.get_mut().usage;
+        usage.requests += requests;
+        usage.cache_hits += cache_hits;
+        self
+    }
+
+    /// Marks a scene prepaid. One that was not counts one billed image and
+    /// adds one fee: by repeated addition, the fold order of an
+    /// uninterrupted meter, so restored fee totals are byte-identical.
+    fn prepay(&mut self, key: (ImageId, u32)) {
+        if self.prepaid.insert(key) {
+            let usage = &mut self.state.get_mut().usage;
+            usage.billed_images += 1;
+            usage.fees_usd += FEE_PER_IMAGE_USD;
+        }
     }
 
     /// Sets a hard request quota (requests beyond it fail).
@@ -312,6 +339,7 @@ impl StreetViewService {
             }
             state.usage.billed_images += 1;
             state.usage.fees_usd += FEE_PER_IMAGE_USD;
+            state.billed.push(key);
         }
         if state.cache_order.len() >= CACHE_CAP {
             if let Some(evict) = state.cache_order.pop_front() {
@@ -374,6 +402,12 @@ impl StreetViewService {
     /// Snapshot of usage counters.
     pub fn usage(&self) -> UsageMeter {
         self.state.lock().usage.clone()
+    }
+
+    /// The scenes this service billed, in billing order: its fresh fees,
+    /// not the prepaid scenes it served again.
+    pub fn billed_scenes(&self) -> Vec<(ImageId, u32)> {
+        self.state.lock().billed.clone()
     }
 
     /// All covered location ids (those with imagery), sorted.
@@ -617,6 +651,36 @@ mod tests {
         assert_eq!(svc.usage().billed_images, 4);
         assert_eq!(svc.usage().cache_hits, usage.cache_hits + 2);
         assert_eq!(store.load_kind(FEE_RECORD_KIND).len(), 4);
+    }
+
+    #[test]
+    fn a_ledger_carries_billed_scenes_over_as_prepaid() {
+        let (first, _) = service(5, 10);
+        let loc = first.covered_locations()[0];
+        let request = |heading| {
+            ImageRequest::builder(loc, heading)
+                .size(32)
+                .build()
+                .unwrap()
+        };
+        for &heading in &Heading::ALL[..3] {
+            first.capture(&request(heading)).unwrap();
+        }
+        first.capture(&request(Heading::ALL[0])).unwrap();
+        let billed = first.billed_scenes();
+        assert_eq!(billed.len(), 3, "the hit is not a billed scene");
+        let usage = first.usage();
+
+        let (next, _) = service(5, 10);
+        let next = next.with_ledger(billed, usage.requests, usage.cache_hits);
+        assert_eq!(next.usage(), usage, "the meter starts at the books");
+        next.fetch(&request(Heading::ALL[1])).unwrap();
+        next.fetch(&request(Heading::ALL[3])).unwrap();
+        let after = next.usage();
+        assert_eq!(after.billed_images, 4, "only the fourth heading is new");
+        assert_eq!(after.cache_hits, usage.cache_hits + 1);
+        assert_eq!(after.requests, usage.requests + 2);
+        assert_eq!(next.billed_scenes().len(), 1);
     }
 
     #[test]

@@ -327,17 +327,6 @@ impl Journal {
     pub fn recovery_note(&self) -> Option<&str> {
         self.recovery.as_deref()
     }
-
-    /// Deep integrity scan of this journal's on-disk file: every frame
-    /// re-read and re-checksummed. See [`verify_file`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JournalError::Io`] when the file cannot be read.
-    pub fn verify_all(&self) -> Result<JournalAudit, JournalError> {
-        // appends flush per record, so the on-disk file is current
-        verify_file(&journal_path(&self.dir))
-    }
 }
 
 impl CheckpointStore for Journal {
@@ -541,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_all_passes_on_a_clean_journal() {
+    fn verify_file_passes_on_a_clean_journal() {
         let dir = temp_dir("verify-clean");
         let journal = Journal::create(&dir, &manifest()).unwrap();
         for i in 0..6u64 {
@@ -549,7 +538,8 @@ mod tests {
                 .save("unit", &i.to_string(), serde_json::json!({ "i": i }))
                 .unwrap();
         }
-        let audit = journal.verify_all().unwrap();
+        // appends flush per record, so the on-disk file is current
+        let audit = verify_file(&journal_path(&dir)).unwrap();
         assert!(audit.is_clean(), "{audit:?}");
         assert_eq!(audit.records, 6);
         assert_eq!(audit.valid_len, audit.file_len);

@@ -53,9 +53,9 @@ pub fn sanitize_span_name(name: &str) -> String {
 /// One completed stage span.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
-    /// Full `/`-separated span path, e.g. `"run/survey/capture"`.
+    /// Full `/`-separated span path, e.g. `"run/survey/shard-0"`.
     pub key: String,
-    /// Leaf stage name, e.g. `"capture"`.
+    /// Leaf stage name, e.g. `"shard-0"`.
     pub name: String,
     /// Nesting depth (0 for top-level spans).
     pub depth: usize,

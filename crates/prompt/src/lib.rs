@@ -1,6 +1,6 @@
 //! Prompt engineering substrate: the study's presence questions in four
-//! languages, parallel vs. sequential prompt packaging, robust response
-//! parsing, and conversation transcripts.
+//! languages, parallel vs. sequential prompt packaging, and robust response
+//! parsing.
 //!
 //! English question texts are verbatim from the paper's Table II; Spanish,
 //! Chinese, and Bengali texts follow Appendix B.
@@ -24,10 +24,8 @@ mod lang;
 mod parse;
 mod question;
 mod template;
-mod transcript;
 
 pub use lang::Language;
 pub use parse::{parse_response, ParsedAnswers};
 pub use question::{format_instruction, question_text, PROMPT_ORDER};
 pub use template::{Prompt, PromptMessage, PromptMode};
-pub use transcript::{Exchange, Transcript};

@@ -41,14 +41,6 @@ pub fn fill_rect(img: &mut RasterImage, x: i64, y: i64, w: i64, h: i64, color: R
     }
 }
 
-/// Draws a 1-pixel rectangle outline.
-pub fn stroke_rect(img: &mut RasterImage, x: i64, y: i64, w: i64, h: i64, color: Rgb) {
-    fill_rect(img, x, y, w, 1, color);
-    fill_rect(img, x, y + h - 1, w, 1, color);
-    fill_rect(img, x, y, 1, h, color);
-    fill_rect(img, x + w - 1, y, 1, h, color);
-}
-
 /// Draws a line of the given thickness between two points (Bresenham with a
 /// square brush).
 ///

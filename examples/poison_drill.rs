@@ -59,11 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None,
         Some(&obs),
     )?;
-    let report = outcome
-        .survey()
-        .coverage()
-        .expect("coverage report")
-        .clone();
+    let report = outcome.survey().coverage().clone();
     println!(
         "poisoned survey: {} of {} locations completed ({:.1}% coverage), \
          {} quarantined after {} retries",
@@ -115,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None,
         None,
     )?;
-    let stuck_report = stuck.survey().coverage().expect("coverage report");
+    let stuck_report = stuck.survey().coverage();
     println!(
         "\nstuck shard: watchdog fired after 2500 virtual ms — {} locations \
          captured, {} skipped, {} images preserved",
@@ -181,13 +177,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None,
     )?;
     assert_eq!(
-        serde_json::to_vec(resumed.survey().coverage().unwrap())?,
-        serde_json::to_vec(uninterrupted.survey().coverage().unwrap())?,
+        serde_json::to_vec(resumed.survey().coverage())?,
+        serde_json::to_vec(uninterrupted.survey().coverage())?,
         "resumed coverage must be byte-identical"
     );
     assert_eq!(resumed.survey().dataset(), uninterrupted.survey().dataset());
     assert_eq!(
-        serde_json::to_vec(resumed.survey().coverage().unwrap())?,
+        serde_json::to_vec(resumed.survey().coverage())?,
         serde_json::to_vec(&report)?,
         "journaled and unjournaled runs must agree on coverage"
     );

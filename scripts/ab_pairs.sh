@@ -11,7 +11,13 @@
 # quartiles per metric, how many pairs the change won on images_per_s (ties
 # count for neither side), and the verdict on a gain: at least ten pairs, the
 # change winning at least nine in ten, and its median beating the parent's by
-# more than the parent's interquartile range.
+# more than the parent's interquartile range. It then prints one
+# no-regression verdict per end-to-end metric, reading each metric's `better`
+# and `bound` from the change checkout's BENCHMARK.json: WORSE when the
+# change's median is worse than the parent's by more than the bound (a
+# fraction of the parent's median); UNRESOLVED when the parent's own
+# interquartile range is wider than that bound and not every change run
+# beats every parent run; OK otherwise.
 #
 # Exit status: 0 when every pass of every run was correct, whatever the
 # verdict; 1 when a run exits nonzero or reports an incorrect or failed pass;
@@ -32,6 +38,9 @@ PARENT="$(cd "$1" && pwd)" || die "no directory $1"
 CHANGE="$(cd "$2" && pwd)" || die "no directory $2"
 WORKLOAD=$3 SEED=$4 PAIRS=${5:-10} RUN_SECONDS=${6:-10}
 [[ $PAIRS =~ ^[1-9][0-9]*$ ]] || die "PAIRS must be a positive integer, not $PAIRS"
+BENCH="$CHANGE/BENCHMARK.json"
+jq -e '.end_to_end | length > 0' "$BENCH" >/dev/null 2>&1 ||
+    die "$BENCH names no end-to-end metrics"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -87,7 +96,7 @@ done
     exit 1
 }
 
-jq -rs '
+jq -rs --slurpfile bench "$BENCH" '
     def quantile($p): sort as $s | (($s | length) - 1) as $n | ($n * $p) as $h
         | ($h | floor) as $i
         | $s[$i] + (if $i < $n then ($h - $i) * ($s[$i + 1] - $s[$i]) else 0 end);
@@ -124,5 +133,22 @@ jq -rs '
           (if $gap > $iqr then empty
            else "median gap \($gap | fmt) is not above the parent IQR \($iqr | fmt)" end)
         ] | join("; ")) + ")"
-      end
+      end,
+      "==> no regression, per end-to-end metric (bound from BENCHMARK.json)",
+      ($bench[0].end_to_end[] as {name: $m, better: $better, bound: $bound}
+       | if ($parent[0].metrics | has($m)) | not then "  \($m): not reported"
+         else
+           ($parent | map(.metrics[$m])) as $a | ($change | map(.metrics[$m])) as $b
+           | ($a | stats) as $old | ($b | stats) as $new
+           | (if $better == "higher" then 1 else -1 end) as $sign
+           | (($old.median - $new.median) * $sign) as $worse
+           | ($bound * ($old.median | fabs)) as $room
+           | (if $sign > 0 then ($b | min) > ($a | max) else ($b | max) < ($a | min) end)
+             as $beats
+           | (if $worse > $room then "WORSE"
+              elif ($old.q3 - $old.q1) > $room and ($beats | not) then "UNRESOLVED"
+              else "OK" end) as $verdict
+           | "  \($m) (\($better) is better, bound \($bound * 100)%): \($verdict), median "
+             + "\($old.median | fmt) -> \($new.median | fmt), parent IQR \($old.q3 - $old.q1 | fmt)"
+         end)
 ' "$WORK/runs.jsonl"

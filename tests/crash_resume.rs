@@ -23,7 +23,8 @@ use nbhd_journal::{
 
 // the torture plan: small enough that the full pipeline runs in tens of
 // milliseconds, large enough that the journal spans every record kind
-// (fees, captures, harvests, the detector stage, votes, resamples)
+// (fees, captures, the survey's shard record, harvests, the detector
+// stage, votes, resamples)
 fn plan_with(parallelism: Parallelism) -> RunPlan {
     let mut plan = RunPlan::smoke(99);
     plan.survey.locations = 3;
@@ -99,7 +100,14 @@ fn every_record_kind_loads_the_same_value_live_and_reopened() {
     assert_eq!(
         kinds,
         BTreeSet::from([
-            "capture", "gsv-fee", "harvest", "llm-vote", "obs-span", "resample", "stage"
+            "capture",
+            "gsv-fee",
+            "harvest",
+            "llm-vote",
+            "obs-span",
+            "resample",
+            "stage",
+            "supervised-shard"
         ])
     );
     let scanned: HashMap<(&str, &str), &serde_json::Value> = records

@@ -152,7 +152,7 @@ fn run_summary_deterministic_surface_is_worker_count_invariant() {
     // exec, client accounting, and imagery billing
     let text = serial.deterministic_text();
     for needle in [
-        "run/survey/capture",
+        "run/survey/shard-0",
         "run/detector",
         "run/ensemble",
         "run/bootstrap",

@@ -62,6 +62,57 @@ fn eight_region_survey_streams_with_bounded_memory() {
 }
 
 #[test]
+fn the_surveys_meter_is_the_runs_bill() {
+    // the merged survey's imagery meter reads what the run billed, and
+    // every dataset image is prepaid: fetching one after the run is a
+    // cache hit, never a second fee
+    let config = SurveyConfig::smoke(32);
+    for shards in [1usize, 3] {
+        for journaled in [false, true] {
+            let store: Option<Arc<dyn CheckpointStore>> =
+                journaled.then(|| Arc::new(MemoryStore::new()) as Arc<dyn CheckpointStore>);
+            let outcome = run_supervised(
+                &config,
+                ShardPlan::new(shards).unwrap(),
+                SupervisePolicy::default(),
+                None,
+                store,
+                None,
+            )
+            .unwrap();
+            let survey = outcome.survey();
+            let case = format!("{shards} shards, journaled {journaled}");
+            let images = survey.images().len() as u64;
+            let mut fees = 0.0f64;
+            for _ in 0..images {
+                fees += nbhd::gsv::FEE_PER_IMAGE_USD;
+            }
+            let billed = survey.imagery_usage();
+            assert_eq!(billed.billed_images, images, "{case}");
+            assert_eq!(billed.billed_images, outcome.billed_images(), "{case}");
+            assert_eq!(billed.fees_usd.to_bits(), fees.to_bits(), "{case}");
+            assert_eq!(
+                billed.fees_usd.to_bits(),
+                outcome.fees_usd().to_bits(),
+                "{case}"
+            );
+            assert_eq!((billed.requests, billed.cache_hits), (images, 0), "{case}");
+
+            survey.image(survey.images()[0]).unwrap();
+            let after = survey.imagery_usage();
+            assert_eq!(after.billed_images, billed.billed_images, "{case}");
+            assert_eq!(
+                after.fees_usd.to_bits(),
+                billed.fees_usd.to_bits(),
+                "{case}"
+            );
+            assert_eq!(after.cache_hits, billed.cache_hits + 1, "{case}");
+            assert_eq!(after.requests, billed.requests + 1, "{case}");
+        }
+    }
+}
+
+#[test]
 fn supervised_poison_run_has_schedule_independent_coverage() {
     // the same poison under serial and 4-worker execution must produce the
     // same partial dataset and a byte-identical coverage report: what got
@@ -87,12 +138,12 @@ fn supervised_poison_run_has_schedule_independent_coverage() {
     let serial = run_supervised(&serial_cfg, plan, policy, Some(poison), None, None).unwrap();
     let par = run_supervised(&par_cfg, plan, policy, Some(poison), None, None).unwrap();
 
-    let report = serial.survey().coverage().expect("coverage report");
+    let report = serial.survey().coverage();
     assert!(report.quarantined_count() > 0, "poison must bite");
     assert!(report.fraction() < 1.0);
     assert_eq!(
         serde_json::to_vec(report).unwrap(),
-        serde_json::to_vec(par.survey().coverage().unwrap()).unwrap(),
+        serde_json::to_vec(par.survey().coverage()).unwrap(),
         "coverage reports must be byte-identical across schedules"
     );
     assert_eq!(serial.survey().dataset(), par.survey().dataset());
@@ -138,7 +189,7 @@ fn supervised_kill_resume_replays_quarantine_at_every_record() {
             .collect()
     };
     let ref_quarantine = quarantine_journal(&ref_scan);
-    let report = fresh.survey().coverage().expect("coverage report");
+    let report = fresh.survey().coverage();
     assert!(!ref_quarantine.is_empty(), "poison must bite");
     assert_eq!(ref_quarantine.len(), report.quarantined_count());
 
@@ -190,7 +241,7 @@ fn supervised_kill_resume_replays_quarantine_at_every_record() {
             "kill at {after}: resumed dataset must be byte-identical"
         );
         assert_eq!(
-            serde_json::to_vec(resumed.survey().coverage().unwrap()).unwrap(),
+            serde_json::to_vec(resumed.survey().coverage()).unwrap(),
             serde_json::to_vec(report).unwrap(),
             "kill at {after}: resumed coverage must be byte-identical"
         );

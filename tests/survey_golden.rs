@@ -78,8 +78,9 @@ fn records_hash(h: &mut Fnv, store: &dyn CheckpointStore, kind: &str) {
 const SMOKE_GOLDEN: u64 = 9_197_465_000_638_851_771;
 /// Recorded with 192 records: 96 captures and 96 fees.
 const JOURNAL_GOLDEN: u64 = 4_956_779_224_373_043_983;
-/// Recorded with 4 locations quarantined.
-const SUPERVISED_GOLDEN: u64 = 12_335_193_393_599_653_002;
+/// Recorded with 4 locations quarantined and the run's bill on the merged
+/// survey's meter: 104 requests, 80 billed images and no cache hits.
+const SUPERVISED_GOLDEN: u64 = 15_231_792_354_641_347_226;
 
 #[test]
 fn a_smoke_survey_matches_its_golden_hash() {
