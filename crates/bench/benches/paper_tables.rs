@@ -87,7 +87,7 @@ fn main() {
         survey.dataset().summary()
     );
     let survey_span = ExecSnapshot::from_metrics(&obs.registry().snapshot());
-    let harness = PaperExperiments::new(survey);
+    let harness = PaperExperiments::new(survey).with_obs(obs.clone());
 
     let selected = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
 

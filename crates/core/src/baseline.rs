@@ -46,6 +46,15 @@ pub fn train_baseline(
     detector: DetectorConfig,
     augmentation: AugmentationPolicy,
 ) -> Result<BaselineOutcome> {
+    fit_baseline(survey, Trainer::new(train, detector), augmentation)
+}
+
+/// [`train_baseline`] with a given trainer (observed or not).
+pub(crate) fn fit_baseline(
+    survey: &SurveyDataset,
+    trainer: Trainer,
+    augmentation: AugmentationPolicy,
+) -> Result<BaselineOutcome> {
     let base_provider = survey.provider();
     let dataset = survey.dataset();
 
@@ -53,7 +62,6 @@ pub fn train_baseline(
     let (aug_dataset, provider) =
         augmented_view(dataset, &base_provider, augmentation, survey.config().seed)?;
 
-    let trainer = Trainer::new(train, detector);
     let fitted = trainer.fit(&aug_dataset, &provider)?;
     let report = evaluate_on(&fitted, dataset, &provider, &dataset.split().test)?;
     Ok(BaselineOutcome {

@@ -204,7 +204,16 @@ pub fn run_observed(
             let json = value
                 .as_str()
                 .ok_or_else(|| Error::parse("detector stage record is not a string"))?;
-            Detector::from_json(json)?
+            let detector = Detector::from_json(json)?;
+            // `from_json` cannot know the image size; a cell larger than
+            // the image would panic the first scan
+            let (shrink, size) = (detector.config.shrink, plan.survey.image_size);
+            if shrink > size {
+                return Err(Error::parse(format!(
+                    "detector stage record: config.shrink {shrink} is larger than the study's image_size {size}"
+                )));
+            }
+            detector
         }
         None => {
             let trainer = Trainer::new(
@@ -349,6 +358,31 @@ mod tests {
         assert!(a.billed_images > 0);
         assert!(a.fees_usd > 0.0);
         assert!(a.ci_lo <= a.ci_estimate && a.ci_estimate <= a.ci_hi);
+    }
+
+    #[test]
+    fn a_detector_record_with_a_cell_larger_than_the_images_is_a_parse_error() {
+        let plan = RunPlan::smoke(41);
+        let mut detector = Detector::untrained(DetectorConfig::default());
+        detector.config.shrink = 1000;
+        let store = Arc::new(MemoryStore::new());
+        store
+            .save(
+                STAGE_RECORD_KIND,
+                DETECTOR_STAGE_KEY,
+                serde_json::Value::String(detector.to_json().unwrap()),
+            )
+            .unwrap();
+        match run_observed(&plan, store, &Obs::default()) {
+            Err(Error::Parse(msg)) => {
+                let size = plan.survey.image_size;
+                let want =
+                    format!("config.shrink 1000 is larger than the study's image_size {size}");
+                assert!(msg.starts_with("detector stage record"), "{msg}");
+                assert!(msg.contains(&want), "{msg}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -8,12 +8,14 @@
 
 use std::sync::OnceLock;
 
-use nbhd_detect::{DetectorConfig, SceneClassifier, TrainConfig};
+use nbhd_detect::{DetectorConfig, SceneClassifier, TrainConfig, Trainer};
 use nbhd_eval::{render_comparison, render_metrics_table, ComparisonRow, PresenceEvaluator};
+use nbhd_obs::Obs;
 use nbhd_prompt::{Language, Prompt, PromptMode, PROMPT_ORDER};
 use nbhd_types::{Indicator, Result};
 use nbhd_vlm::{SamplerParams, VisionModel};
 
+use crate::baseline::fit_baseline;
 use crate::{
     evaluate_with_noise, paper_lineup, run_llm_survey, train_baseline, AugmentationPolicy,
     BaselineOutcome, LlmSurveyConfig, LlmSurveyOutcome, SurveyDataset,
@@ -48,6 +50,7 @@ pub struct PaperExperiments {
     survey: SurveyDataset,
     baseline: OnceLock<BaselineOutcome>,
     default_llm: OnceLock<LlmSurveyOutcome>,
+    obs: Option<Obs>,
 }
 
 impl PaperExperiments {
@@ -57,7 +60,16 @@ impl PaperExperiments {
             survey,
             baseline: OnceLock::new(),
             default_llm: OnceLock::new(),
+            obs: None,
         }
+    }
+
+    /// Observes the baseline's fit: its trainer records its stage spans
+    /// and counters (the scan's window counts among them) into `obs`.
+    #[must_use]
+    pub fn with_obs(mut self, obs: Obs) -> PaperExperiments {
+        self.obs = Some(obs);
+        self
     }
 
     /// The survey under test.
@@ -91,7 +103,11 @@ impl PaperExperiments {
     pub fn baseline(&self) -> Result<&BaselineOutcome> {
         if self.baseline.get().is_none() {
             let (train, det) = self.train_configs();
-            let outcome = train_baseline(&self.survey, train, det, AugmentationPolicy::None)?;
+            let mut trainer = Trainer::new(train, det);
+            if let Some(obs) = &self.obs {
+                trainer = trainer.with_obs(obs.clone());
+            }
+            let outcome = fit_baseline(&self.survey, trainer, AugmentationPolicy::None)?;
             let _ = self.baseline.set(outcome);
         }
         Ok(self.baseline.get().expect("just set"))

@@ -1,6 +1,8 @@
 //! The trained detector: per-class linear scorers over channel features.
 
 use std::borrow::Cow;
+use std::cell::Cell;
+use std::ops::AddAssign;
 use std::sync::OnceLock;
 
 use nbhd_raster::RasterImage;
@@ -8,7 +10,7 @@ use nbhd_types::rng::sigmoid;
 use nbhd_types::{BBox, Error, Indicator, IndicatorMap, IndicatorSet, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::features::{PlannedRun, RunPool, LANES};
+use crate::features::{cell_major, CellMajor, PlannedRun, RunPool, LANES};
 use crate::{nms, AnchorSet, Detection, FeatureMap, IntegralChannels, FEATURE_DIM};
 
 /// A per-class mixture of linear scorers, one per anchor template, so that
@@ -130,6 +132,88 @@ impl ClassScorer {
 /// `|g * f|` with a subnormal `g` and `|f| <= 32` (`< 2^-121`).
 const L2W_FLOOR: f32 = 1.0 / (1u128 << 90) as f32;
 
+/// Windows a scan covered, and how many of them the exact kernel scored
+/// (the rest the [`Gate`] skipped).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ScanCount {
+    /// Windows of every planned run.
+    pub(crate) windows: u64,
+    /// Windows scored by the lane kernel.
+    pub(crate) exact: u64,
+}
+
+impl AddAssign for ScanCount {
+    fn add_assign(&mut self, other: ScanCount) {
+        self.windows += other.windows;
+        self.exact += other.exact;
+    }
+}
+
+/// The scan's exact-bound gate for one run's scorer on one image: it skips
+/// a window only when its exact score is sure to be below the floor.
+///
+/// The exact margin is `bias + sum(w * (mean / norm))` in f32, feature
+/// order. The gate computes `bias + sum(w * mean) / norm` from the same
+/// pooled means, with no per-feature division and in cell-major order.
+/// Both are the same real sum rounded two ways, each off by at most about
+/// `327 * 2^-24` of `B = |bias| + ||w||_1 * cell_max / norm` (324 products,
+/// adds and divisions; every mean is non-negative and at most `cell_max`).
+/// The slack `1e-3 * B + 1e-6` is 25 times their combined error, so a
+/// window with `gate + slack < t` has an exact margin below `t` by at
+/// least `1e-6`, and [`margin_floor`] makes `t` score below the floor. A
+/// NaN anywhere fails the comparison and sends the window to the kernel.
+#[derive(Debug)]
+struct Gate {
+    weights: CellMajor,
+    bias: f32,
+    /// `||w||_1 * cell_max`: bounds `sum(|w * mean|)`.
+    reach: f32,
+    /// The last floor seen and its [`margin_floor`].
+    floor: (f32, Option<f32>),
+}
+
+impl Gate {
+    /// The gate of `scorer` on an image whose cells are at most `cell_max`.
+    fn new(scorer: &ClassScorer, cell_max: f32) -> Gate {
+        Gate {
+            weights: cell_major(&scorer.weights),
+            bias: scorer.bias,
+            reach: scorer.weights.iter().map(|w| w.abs()).sum::<f32>() * cell_max,
+            floor: (f32::NAN, None),
+        }
+    }
+
+    /// Whether the pooled run's window at y-major index `window` is sure to
+    /// score below `floor`. A floor not in `(0, 1)` skips nothing.
+    fn skips(&mut self, pool: &RunPool, run: &PlannedRun, window: usize, floor: f32) -> bool {
+        if floor.to_bits() != self.floor.0.to_bits() {
+            self.floor = (floor, margin_floor(floor));
+        }
+        let Some(t) = self.floor.1 else {
+            return false;
+        };
+        let norm = pool.norm(window);
+        let slack = 1e-3 * (self.bias.abs() + self.reach / norm) + 1e-6;
+        self.bias + pool.weighted_sum(run, window, &self.weights) / norm + slack < t
+    }
+}
+
+/// A margin `t` with `sigmoid(t as f64) as f32 < floor`, so every margin
+/// below `t` scores below `floor`; `None` when `floor` is not in `(0, 1)`
+/// (or is NaN), which turns the gate off.
+fn margin_floor(floor: f32) -> Option<f32> {
+    if !(floor > 0.0 && floor < 1.0) {
+        return None;
+    }
+    // the logit of the next float down; stepped down while it rounds up
+    let p = f64::from(floor.next_down());
+    let mut t = (p / (1.0 - p)).ln() as f32;
+    while sigmoid(f64::from(t)) as f32 >= floor {
+        t = t.next_down();
+    }
+    Some(t)
+}
+
 /// The full object detector: one scorer and one anchor set per class.
 ///
 /// Constructed by [`crate::Trainer`]; see the crate docs for the end-to-end
@@ -183,29 +267,36 @@ impl Detector {
         min_score: f32,
     ) -> Vec<Detection> {
         self.scan_planned(&OnceLock::new(), integral, image_size, min_score)
+            .0
     }
 
     /// [`Self::scan`] with a stage's plan: `plan` holds the first plan the
-    /// stage built, and each image of the stage's size reuses it.
+    /// stage built, and each image of the stage's size reuses it. Also
+    /// returns the scan's window counts.
     pub(crate) fn scan_planned(
         &self,
         plan: &OnceLock<ScanPlan>,
         integral: &IntegralChannels,
         image_size: u32,
         min_score: f32,
-    ) -> Vec<Detection> {
+    ) -> (Vec<Detection>, ScanCount) {
         let plan = self.plan(plan, integral, image_size);
         let mut raw = Vec::new();
-        self.score_windows(&plan, integral, |indicator, bbox, score| {
-            if score >= min_score {
-                raw.push(Detection {
-                    indicator,
-                    bbox,
-                    score,
-                });
-            }
-        });
-        nms(raw, self.config.nms_iou)
+        let count = self.score_windows(
+            &plan,
+            integral,
+            |_| min_score,
+            |indicator, bbox, score| {
+                if score >= min_score {
+                    raw.push(Detection {
+                        indicator,
+                        bbox,
+                        score,
+                    });
+                }
+            },
+        );
+        (nms(raw, self.config.nms_iou), count)
     }
 
     /// The stage's plan in `cell` when it fits `integral` at `image_size`
@@ -226,42 +317,65 @@ impl Detector {
     }
 
     /// The sliding-window loop behind [`Self::scan`] and
-    /// [`Self::class_scores`]: scores every anchor window of every class
+    /// [`Self::class_scores`]: scores the anchor windows of every class
     /// and hands each `(class, window, score)` to `visit`, in
-    /// [`AnchorSet::windows`] order. `plan` must fit `integral`.
+    /// [`AnchorSet::windows`] order, except windows whose score is sure to
+    /// fall below `floor(class)`. `plan` must fit `integral`.
     ///
-    /// Each planned anchor run is pooled once ([`RunPool`]), then scored
-    /// [`LANES`] windows at a time. Every lane repeats
-    /// [`ClassScorer::score`]'s operations on its own window in the same
-    /// order, so each score is bit-identical to scoring that window's
-    /// [`IntegralChannels::window_feature`].
+    /// Each planned anchor run is pooled once ([`RunPool`]). A [`Gate`]
+    /// then skips every window whose margin bound cannot reach the floor,
+    /// and the rest are scored [`LANES`] windows at a time. Every lane
+    /// repeats [`ClassScorer::score`]'s operations on its own window in the
+    /// same order, so each visited score is bit-identical to scoring that
+    /// window's [`IntegralChannels::window_feature`].
     fn score_windows(
         &self,
         plan: &ScanPlan,
         integral: &IntegralChannels,
+        floor: impl Fn(Indicator) -> f32,
         mut visit: impl FnMut(Indicator, BBox, f32),
-    ) {
+    ) -> ScanCount {
         let mut pool = RunPool::default();
         let mut means = Box::new([[0f32; LANES]; FEATURE_DIM]);
         let mut norms = [1f32; LANES];
+        let mut batch = [0usize; LANES];
+        let mut count = ScanCount::default();
         for (ind, planned) in &plan.runs {
             let (ind, run) = (*ind, &planned.run);
             let scorer = self.scorers[ind].component(run.template);
             pool.pool(integral, planned);
-            for first in (0..run.len()).step_by(LANES) {
-                let filled = pool.gather(planned, first, &mut means, &mut norms);
+            let mut gate = Gate::new(scorer, integral.cell_max());
+            count.windows += run.len() as u64;
+            let mut next = 0;
+            while next < run.len() {
+                // the next LANES windows the gate lets through
+                let mut filled = 0;
+                while filled < LANES && next < run.len() {
+                    if !gate.skips(&pool, planned, next, floor(ind)) {
+                        batch[filled] = next;
+                        filled += 1;
+                    }
+                    next += 1;
+                }
+                if filled == 0 {
+                    break;
+                }
+                let batch = &batch[..filled];
+                pool.gather(planned, batch, &mut means, &mut norms);
                 let mut m = [scorer.bias; LANES];
                 for (w, lanes) in scorer.weights.iter().zip(means.iter()) {
                     for l in 0..LANES {
                         m[l] += w * (lanes[l] / norms[l]);
                     }
                 }
-                for (l, &margin) in m[..filled].iter().enumerate() {
+                for (&window, &margin) in batch.iter().zip(&m) {
                     let score = sigmoid(margin as f64) as f32;
-                    visit(ind, run.window(first + l).bbox, score);
+                    visit(ind, run.window(window).bbox, score);
                 }
+                count.exact += filled as u64;
             }
         }
+        count
     }
 
     /// Detection over precomputed integral channels at the per-class
@@ -279,13 +393,18 @@ impl Detector {
 
     /// Best score per class over the whole scan (useful for presence
     /// classification and threshold calibration), regardless of threshold.
+    /// A window that cannot beat its class's best so far cannot change the
+    /// max, so the best is the scan's floor.
     pub fn class_scores(&self, integral: &IntegralChannels, image_size: u32) -> IndicatorMap<f32> {
-        let mut best = IndicatorMap::fill(0f32);
+        let best = IndicatorMap::fill(Cell::new(0f32));
         let plan = ScanPlan::new(self, integral, image_size);
-        self.score_windows(&plan, integral, |ind, _, score| {
-            best[ind] = best[ind].max(score);
-        });
-        best
+        self.score_windows(
+            &plan,
+            integral,
+            |ind| best[ind].get(),
+            |ind, _, score| best[ind].set(best[ind].get().max(score)),
+        );
+        best.map(|_, b| b.get())
     }
 
     /// Image-level presence: classes whose best score clears their
@@ -617,13 +736,18 @@ mod tests {
                     }
                     let mut visited = Vec::new();
                     let plan = ScanPlan::new(&det, &integral, size);
-                    det.score_windows(&plan, &integral, |indicator, bbox, score| {
-                        visited.push(Detection {
-                            indicator,
-                            bbox,
-                            score,
-                        })
-                    });
+                    det.score_windows(
+                        &plan,
+                        &integral,
+                        |_| 0.0,
+                        |indicator, bbox, score| {
+                            visited.push(Detection {
+                                indicator,
+                                bbox,
+                                score,
+                            })
+                        },
+                    );
                     let at = format!("{name} {size} px, shrink {shrink}");
                     assert_eq!(visited.len(), reference.len(), "{at}");
                     for (i, (v, r)) in visited.iter().zip(&reference).enumerate() {
@@ -638,6 +762,7 @@ mod tests {
                     assert_eq!(scan, want, "{at}: scan");
                     let staged: Vec<_> = det
                         .scan_planned(&stage, &integral, size, 0.0)
+                        .0
                         .iter()
                         .map(bits)
                         .collect();
@@ -652,6 +777,128 @@ mod tests {
                         assert_eq!(scores[ind].to_bits(), best[ind].to_bits(), "{at}: {ind}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Every visit of a scan of `det` on `integral` whose gate uses
+    /// `floor`, in visit order, with the scan's counts.
+    fn visits(
+        det: &Detector,
+        integral: &IntegralChannels,
+        size: u32,
+        floor: impl Fn(Indicator) -> f32,
+    ) -> (Vec<Detection>, ScanCount) {
+        let plan = ScanPlan::new(det, integral, size);
+        let mut visited = Vec::new();
+        let count = det.score_windows(&plan, integral, floor, |indicator, bbox, score| {
+            visited.push(Detection {
+                indicator,
+                bbox,
+                score,
+            })
+        });
+        (visited, count)
+    }
+
+    /// `det` with every weight and bias scaled by `by`.
+    fn scaled(mut det: Detector, by: f32) -> Detector {
+        for ind in Indicator::ALL {
+            for c in &mut det.scorers[ind].components {
+                c.weights.iter_mut().for_each(|w| *w *= by);
+                c.bias *= by;
+            }
+        }
+        det
+    }
+
+    #[test]
+    fn gated_scan_is_bit_identical_to_the_ungated_lane_kernel() {
+        let mut skipped = 0;
+        for size in [96u32, 160, 640] {
+            for by in [1.0f32, 1e4, 1e-4] {
+                let mut det = scaled(seeded_detector(8), by);
+                for (k, ind) in Indicator::ALL.into_iter().enumerate() {
+                    det.thresholds[ind] = 0.35 + 0.1 * k as f32;
+                }
+                for (name, img) in [
+                    ("textured", textured_image(size)),
+                    ("scene", rendered_scene(size)),
+                ] {
+                    let integral = det.integral(&img);
+                    let at = format!("{name} {size} px, weights x{by}");
+                    // a floor of 0 turns the gate off: every window visited
+                    let (all, ungated) = visits(&det, &integral, size, |_| 0.0);
+                    assert_eq!(ungated.exact, ungated.windows, "{at}");
+                    assert_eq!(all.len() as u64, ungated.windows, "{at}");
+                    let mut sorted: Vec<f32> = all.iter().map(|d| d.score).collect();
+                    sorted.sort_by(f32::total_cmp);
+                    let mut floors = vec![0.08f32, 0.3, 1.0, f32::NAN];
+                    floors.extend(det.thresholds.values());
+                    // scores the ungated scan gave: the boundary cases
+                    floors.extend([sorted[sorted.len() / 2], sorted[sorted.len() * 9 / 10]]);
+                    for floor in floors {
+                        let want: Vec<_> =
+                            all.iter().filter(|d| d.score >= floor).map(bits).collect();
+                        let (gated, count) = visits(&det, &integral, size, |_| floor);
+                        let got: Vec<_> = gated
+                            .iter()
+                            .filter(|d| d.score >= floor)
+                            .map(bits)
+                            .collect();
+                        assert_eq!(got, want, "{at}, floor {floor}");
+                        assert_eq!(count.windows, ungated.windows, "{at}, floor {floor}");
+                        assert_eq!(count.exact, gated.len() as u64, "{at}, floor {floor}");
+                        skipped += count.windows - count.exact;
+                    }
+                    // per-class floors, as detect_on's thresholds filter
+                    let (gated, _) = visits(&det, &integral, size, |ind| det.thresholds[ind]);
+                    let keep = |d: &&Detection| d.score >= det.thresholds[d.indicator];
+                    let got: Vec<_> = gated.iter().filter(keep).map(bits).collect();
+                    let want: Vec<_> = all.iter().filter(keep).map(bits).collect();
+                    assert_eq!(got, want, "{at}, per-class thresholds");
+                    let mut best = IndicatorMap::fill(0f32);
+                    for d in &all {
+                        best[d.indicator] = best[d.indicator].max(d.score);
+                    }
+                    let scores = det.class_scores(&integral, size);
+                    for ind in Indicator::ALL {
+                        assert_eq!(scores[ind].to_bits(), best[ind].to_bits(), "{at}: {ind}");
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "the gate never skipped a window");
+    }
+
+    #[test]
+    fn margin_floor_scores_below_its_floor() {
+        for floor in [0.0f32, -0.0, -0.3, 1.0, 1.5, f32::NAN, f32::INFINITY] {
+            assert_eq!(margin_floor(floor), None, "{floor}");
+        }
+        // a stride over every float in (0, 1), and the ends of that range
+        let mut floors: Vec<f32> = (1..0x3f80_0000u32)
+            .step_by(9_973)
+            .map(f32::from_bits)
+            .collect();
+        floors.extend([
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            1e-30,
+            1.0f32.next_down(),
+            0.5,
+            0.5f32.next_up(),
+        ]);
+        floors.extend((1..1000).map(|k| k as f32 / 1000.0));
+        for floor in floors {
+            let t = margin_floor(floor).expect("a floor in (0, 1)");
+            assert!(
+                (sigmoid(f64::from(t)) as f32) < floor,
+                "floor {floor:e}: t {t}"
+            );
+            if (1e-3..=0.999).contains(&floor) {
+                let logit = (f64::from(floor) / (1.0 - f64::from(floor))).ln();
+                assert!((f64::from(t) - logit).abs() < 1e-3, "floor {floor}: t {t}");
             }
         }
     }

@@ -6,7 +6,7 @@ use nbhd_eval::{average_precision, BinaryConfusion, ClassMetrics, MetricsTable};
 use nbhd_exec::{Parallelism, ScopedPool};
 use nbhd_types::{ImageId, ImageLabels, Indicator, IndicatorMap, Result};
 
-use crate::detector::ScanPlan;
+use crate::detector::{ScanCount, ScanPlan};
 use crate::{Detector, ImageProvider};
 
 /// The IoU threshold used for matching (the paper reports mAP50).
@@ -44,25 +44,25 @@ pub fn scored_matches<P: ImageProvider + Sync>(
     provider: &P,
 ) -> Result<ScoredMatches> {
     let pool = ScopedPool::new(Parallelism::auto());
-    scored_matches_on(detector, items, provider, &pool, &OnceLock::new())
+    Ok(scored_matches_on(detector, items, provider, &pool, &OnceLock::new())?.0)
 }
 
 /// [`scored_matches`] with the images fanned out on `pool` and scanned
-/// with the stage's `plan`.
+/// with the stage's `plan`, plus the scans' summed window counts.
 pub(crate) fn scored_matches_on<P: ImageProvider + Sync>(
     detector: &Detector,
     items: &[(ImageId, ImageLabels)],
     provider: &P,
     pool: &ScopedPool,
     plan: &OnceLock<ScanPlan>,
-) -> Result<ScoredMatches> {
+) -> Result<(ScoredMatches, ScanCount)> {
     let mut scored: IndicatorMap<Vec<(f32, bool)>> = IndicatorMap::from_fn(|_| Vec::new());
     let mut positives = IndicatorMap::fill(0usize);
 
     let per_image = pool.map(items, |(id, labels)| -> Result<_> {
         let img = provider.image(*id)?;
         let integral = detector.integral(&img);
-        let dets = detector.scan_planned(plan, &integral, img.width(), 0.08);
+        let (dets, count) = detector.scan_planned(plan, &integral, img.width(), 0.08);
         let mut scored_local: IndicatorMap<Vec<(f32, bool)>> =
             IndicatorMap::from_fn(|_| Vec::new());
         let mut positives_local = IndicatorMap::fill(0usize);
@@ -88,17 +88,19 @@ pub(crate) fn scored_matches_on<P: ImageProvider + Sync>(
                 scored_local[ind].push((det.score, correct));
             }
         }
-        Ok((scored_local, positives_local))
+        Ok((scored_local, positives_local, count))
     });
+    let mut count = ScanCount::default();
     for item in per_image {
-        let (scored_local, positives_local) = item?;
+        let (scored_local, positives_local, image_count) = item?;
+        count += image_count;
         for (ind, local) in scored_local.into_array().into_iter().enumerate() {
             let ind = Indicator::from_index(ind).expect("index < 6");
             scored[ind].extend(local);
             positives[ind] += positives_local[ind];
         }
     }
-    Ok((scored, positives))
+    Ok(((scored, positives), count))
 }
 
 /// Evaluates a detector over labeled images.

@@ -171,6 +171,9 @@ pub struct IntegralChannels {
     /// channel `c` at point `(x, y)` is at `(y * (width+1) + x) * NUM_CHANNELS + c`,
     /// so one corner offset serves every channel.
     tables: Vec<f64>,
+    /// The largest cell value of any channel. Every channel is a mean of
+    /// non-negative values, so no pooled rectangle mean exceeds it.
+    cell_max: f32,
 }
 
 /// A half-open cell interval `[lo, hi)` along one axis.
@@ -207,11 +210,13 @@ impl IntegralChannels {
                 }
             }
         }
+        let cell_max = map.channels.iter().flatten().fold(0f32, |a, &b| a.max(b));
         IntegralChannels {
             width: w,
             height: h,
             shrink: map.shrink,
             tables,
+            cell_max,
         }
     }
 
@@ -228,6 +233,11 @@ impl IntegralChannels {
     /// Pixels per cell side.
     pub fn shrink(&self) -> u32 {
         self.shrink
+    }
+
+    /// The largest cell value of any channel: a bound on every pooled mean.
+    pub(crate) fn cell_max(&self) -> f32 {
+        self.cell_max
     }
 
     /// Mean of channel `c` over the half-open cell rectangle
@@ -344,6 +354,28 @@ impl IntegralChannels {
 /// this many windows' features at a time, lane-major.
 pub(crate) const LANES: usize = 8;
 
+/// Floats per rectangle in the [`RunPool`] table: the `NUM_CHANNELS` means,
+/// padded with zeros so [`RunPool::weighted_sum`]'s dot product vectorizes.
+const STRIDE: usize = 12;
+
+/// One padded row of the [`RunPool`] table, or one cell's weights.
+type Padded = [f32; STRIDE];
+
+/// A scorer's weights cell-major, for [`RunPool::weighted_sum`]: cell `g`'s
+/// channel weights in row `g`, zero padding.
+pub(crate) type CellMajor = [Padded; GRID * GRID];
+
+/// A scorer's channel-major `weights` (`FEATURE_DIM` long), cell-major.
+pub(crate) fn cell_major(weights: &[f32]) -> CellMajor {
+    let mut out = [[0.0; STRIDE]; GRID * GRID];
+    for (c, plane) in weights.chunks_exact(GRID * GRID).enumerate() {
+        for (row, &w) in out.iter_mut().zip(plane) {
+            row[c] = w;
+        }
+    }
+    out
+}
+
 /// One axis of an anchor run, pooled once for every origin on it.
 #[derive(Debug, Clone)]
 struct RunAxis {
@@ -417,9 +449,9 @@ impl PlannedRun {
 /// largest run grows the buffers.
 #[derive(Debug, Default)]
 pub(crate) struct RunPool {
-    /// Every channel's mean over every distinct (x span, y span) rectangle:
-    /// `means[(yi * x.distinct.len() + xi) * NUM_CHANNELS + c]`.
-    means: Vec<f32>,
+    /// Every channel's mean over every distinct (x span, y span) rectangle,
+    /// zero-padded: `means[yi * x.distinct.len() + xi][c]`.
+    means: Vec<Padded>,
     /// Each window's norm, y-major.
     norms: Vec<f32>,
 }
@@ -430,11 +462,13 @@ impl RunPool {
     pub(crate) fn pool(&mut self, integral: &IntegralChannels, run: &PlannedRun) {
         self.means.clear();
         // exact, so the scratch is the largest run's table and no more
-        self.means.reserve_exact(run.rects() * NUM_CHANNELS);
+        self.means.reserve_exact(run.rects());
         for &y_span in &run.y.distinct {
             for &x_span in &run.x.distinct {
-                self.means
-                    .extend(integral.rect_means(integral.rect(x_span, y_span)));
+                let mut row = [0.0; STRIDE];
+                row[..NUM_CHANNELS]
+                    .copy_from_slice(&integral.rect_means(integral.rect(x_span, y_span)));
+                self.means.push(row);
             }
         }
         self.norms.clear();
@@ -445,38 +479,75 @@ impl RunPool {
         }
     }
 
-    /// Writes the features of up to [`LANES`] consecutive windows of the
-    /// pooled `run`, from y-major index `first`, as lane-major undivided
-    /// means (feature `k` of lane `l` at `means[k][l]`) with each lane's
-    /// norm, and returns how many lanes it filled. A window's feature `k`
-    /// is `means[k][l] / norms[l]`, the value
+    /// The norm of the pooled run's window at y-major index `window`.
+    pub(crate) fn norm(&self, window: usize) -> f32 {
+        self.norms[window]
+    }
+
+    /// The pooling rectangles of the run's window at y-major index
+    /// `window`: the table row of each of its `GRID` rows of cells, and the
+    /// index in those rows of each of its `GRID` columns.
+    fn window_rows<'a>(
+        &'a self,
+        run: &'a PlannedRun,
+        window: usize,
+    ) -> ([&'a [Padded]; GRID], &'a [usize; GRID]) {
+        let nx = run.x.windows.len();
+        let (xo, yo) = (window % nx, window / nx);
+        let row_len = run.x.distinct.len();
+        let y_cells = &run.y.cells[yo * GRID..(yo + 1) * GRID];
+        (
+            std::array::from_fn(|gy| &self.means[y_cells[gy] * row_len..][..row_len]),
+            run.x.cells[xo * GRID..(xo + 1) * GRID]
+                .try_into()
+                .expect("GRID spans per origin"),
+        )
+    }
+
+    /// `sum(w * mean)` over the window at y-major index `window`, with the
+    /// cell-major `weights` of [`cell_major`]: the window's margin before
+    /// the bias and the division by its norm, in no fixed summation order
+    /// (four-wide partial sums, so it vectorizes).
+    pub(crate) fn weighted_sum(&self, run: &PlannedRun, window: usize, weights: &CellMajor) -> f32 {
+        let (rows, x_cells) = self.window_rows(run, window);
+        let mut acc = [[0f32; 4]; STRIDE / 4];
+        for (row, w_row) in rows.iter().zip(weights.as_chunks::<GRID>().0) {
+            for (&xi, w) in x_cells.iter().zip(w_row) {
+                let means = &row[xi];
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    for (j, a) in acc.iter_mut().enumerate() {
+                        *a += w[4 * v + j] * means[4 * v + j];
+                    }
+                }
+            }
+        }
+        acc.iter().flatten().sum()
+    }
+
+    /// Writes the features of up to [`LANES`] windows of the pooled `run`,
+    /// given by y-major index, as lane-major undivided means (feature `k`
+    /// of lane `l` at `means[k][l]`) with each lane's norm. A window's
+    /// feature `k` is `means[k][l] / norms[l]`, the value
     /// [`IntegralChannels::window_feature_into`] writes.
     pub(crate) fn gather(
         &self,
         run: &PlannedRun,
-        first: usize,
+        windows: &[usize],
         means: &mut [[f32; LANES]; FEATURE_DIM],
         norms: &mut [f32; LANES],
-    ) -> usize {
-        let nx = run.x.windows.len();
-        let n = LANES.min(self.norms.len() - first);
-        let row_len = run.x.distinct.len();
-        for l in 0..n {
-            let (xo, yo) = ((first + l) % nx, (first + l) / nx);
-            norms[l] = self.norms[first + l];
-            let x_cells = &run.x.cells[xo * GRID..(xo + 1) * GRID];
-            let y_cells = &run.y.cells[yo * GRID..(yo + 1) * GRID];
-            for (gy, &yi) in y_cells.iter().enumerate() {
+    ) {
+        for (l, &window) in windows.iter().take(LANES).enumerate() {
+            norms[l] = self.norms[window];
+            let (rows, x_cells) = self.window_rows(run, window);
+            for (gy, row) in rows.iter().enumerate() {
                 for (gx, &xi) in x_cells.iter().enumerate() {
-                    let at = (yi * row_len + xi) * NUM_CHANNELS;
                     let cell = gy * GRID + gx;
-                    for (c, &mean) in self.means[at..at + NUM_CHANNELS].iter().enumerate() {
+                    for (c, &mean) in row[xi][..NUM_CHANNELS].iter().enumerate() {
                         means[c * GRID * GRID + cell][l] = mean;
                     }
                 }
             }
         }
-        n
     }
 }
 

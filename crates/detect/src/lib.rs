@@ -68,4 +68,7 @@ pub use nms::{nms, Detection};
 // per-image fan-out now lives in the shared execution substrate
 pub use nbhd_exec::{par_map, Parallelism};
 pub use scene_baseline::{whole_image_feature, SceneClassifier};
-pub use train::{ImageProvider, ShardData, ShardSource, TrainConfig, Trainer, HARVEST_RECORD_KIND};
+pub use train::{
+    ImageProvider, ShardData, ShardSource, TrainConfig, Trainer, HARVEST_RECORD_KIND,
+    SCAN_EXACT_METRIC, SCAN_WINDOWS_METRIC,
+};

@@ -20,7 +20,7 @@ use rand::Rng;
 
 use nbhd_exec::{Parallelism, ScopedPool};
 
-use crate::detector::ScanPlan;
+use crate::detector::{ScanCount, ScanPlan};
 use crate::eval::scored_matches_on;
 use crate::{AnchorRun, AnchorWindow, ClassScorer, Detector, DetectorConfig, IntegralChannels};
 
@@ -29,6 +29,13 @@ use crate::{AnchorRun, AnchorWindow, ClassScorer, Detector, DetectorConfig, Inte
 /// window, label)` tuples in harvest order, not their features: replay
 /// recomputes each feature from the image's integral channels.
 pub const HARVEST_RECORD_KIND: &str = "harvest";
+
+/// Counter of the windows a fit's mining and calibration scans covered.
+pub const SCAN_WINDOWS_METRIC: &str = "detect.scan.windows";
+
+/// Counter of those windows the exact kernel scored: the rest were skipped
+/// by the scan's score-bound gate.
+pub const SCAN_EXACT_METRIC: &str = "detect.scan.windows_exact";
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,6 +319,7 @@ impl Trainer {
         // The anchors and cell size never change during a fit, so mining
         // and calibration share one scan plan.
         let plan = OnceLock::new();
+        let mut scanned = ScanCount::default();
 
         // Hard-negative mining rounds: collect confident mistakes, extend
         // the pools, refit. Each round re-fetches pixels and rebuilds the
@@ -326,11 +334,14 @@ impl Trainer {
                 Ok(self.mine_image(&detector, &plan, &integral, labels, image_size))
             })?;
             let mut added = 0usize;
-            for (ind, template, feature) in mined.into_iter().flatten() {
-                let pool = &mut pools[ind][template];
-                pool.features.push(feature);
-                pool.labels.push(0.0);
-                added += 1;
+            for (negatives, count) in mined {
+                scanned += count;
+                for (ind, template, feature) in negatives {
+                    let pool = &mut pools[ind][template];
+                    pool.features.push(feature);
+                    pool.labels.push(0.0);
+                    added += 1;
+                }
             }
             if let Some(stage) = mine_stage {
                 stage.record();
@@ -361,8 +372,9 @@ impl Trainer {
                     continue;
                 }
                 covered += items.len();
-                let (shard_scored, shard_positives) =
+                let ((shard_scored, shard_positives), count) =
                     scored_matches_on(&detector, &items, &data.provider, &pool, &plan)?;
+                scanned += count;
                 for (idx, local) in shard_scored.into_array().into_iter().enumerate() {
                     let ind = Indicator::from_index(idx).expect("index < 6");
                     scored[ind].extend(local);
@@ -379,6 +391,10 @@ impl Trainer {
             if let Some(stage) = stage {
                 stage.record();
             }
+        }
+        if let Some(obs) = &self.obs {
+            obs.registry().add(SCAN_WINDOWS_METRIC, scanned.windows);
+            obs.registry().add(SCAN_EXACT_METRIC, scanned.exact);
         }
         Ok(detector)
     }
@@ -480,7 +496,7 @@ impl Trainer {
 
     /// Mines one image's confident false positives against the current
     /// detector: a low-threshold scan, keeping detections with no matching
-    /// ground truth, capped per class.
+    /// ground truth, capped per class. Also returns the scan's counts.
     fn mine_image(
         &self,
         detector: &Detector,
@@ -488,9 +504,9 @@ impl Trainer {
         integral: &IntegralChannels,
         labels: &ImageLabels,
         size: u32,
-    ) -> Vec<(Indicator, usize, Vec<f32>)> {
+    ) -> (Vec<(Indicator, usize, Vec<f32>)>, ScanCount) {
         // scan low so marginal false positives are mined too
-        let dets = detector.scan_planned(plan, integral, size, 0.3);
+        let (dets, count) = detector.scan_planned(plan, integral, size, 0.3);
         let mut taken = IndicatorMap::fill(0usize);
         let mut out: Vec<(Indicator, usize, Vec<f32>)> = Vec::new();
         for det in dets {
@@ -507,7 +523,7 @@ impl Trainer {
                 taken[det.indicator] += 1;
             }
         }
-        out
+        (out, count)
     }
 
     /// SGD over every mixture component's pool, one component per job on
@@ -1079,6 +1095,31 @@ mod tests {
         let serial = fit_at(Parallelism::serial());
         let parallel = fit_at(Parallelism::fixed(4));
         assert_same_bits(&serial, &parallel, "serial vs fixed(4)");
+    }
+
+    #[test]
+    fn scan_counters_are_the_same_serial_and_on_four_workers() {
+        let (ds, images) = small_dataset(20, 96);
+        let p = provider(images);
+        let counted_at = |parallelism| {
+            let mut trainer = small_trainer();
+            trainer.train.parallelism = parallelism;
+            let obs = Obs::new();
+            trainer.with_obs(obs.clone()).fit(&ds, &p).unwrap();
+            let registry = obs.registry();
+            (
+                registry.counter(SCAN_WINDOWS_METRIC),
+                registry.counter(SCAN_EXACT_METRIC),
+            )
+        };
+        let (windows, exact) = counted_at(Parallelism::serial());
+        assert_eq!(
+            counted_at(Parallelism::fixed(4)),
+            (windows, exact),
+            "serial vs fixed(4)"
+        );
+        // the gate scores some windows and skips others
+        assert!(0 < exact && exact < windows, "{exact} of {windows}");
     }
 
     /// A nameable in-memory provider for [`ShardSource`] tests.

@@ -99,7 +99,6 @@ pub struct StreetViewService {
     points: HashMap<LocationId, nbhd_geo::SurveyPoint>,
     seed: u64,
     quota: Option<u64>,
-    coverage_gap_rate: f64,
     poison: Option<PoisonSchedule>,
     billing: Option<Arc<dyn CheckpointStore>>,
     prepaid: HashSet<(ImageId, u32)>,
@@ -120,6 +119,9 @@ struct ServiceState {
 /// Maximum cached scene keys before the oldest is evicted.
 const CACHE_CAP: usize = 4096;
 
+/// The fraction of locations with no imagery.
+const COVERAGE_GAP_RATE: f64 = 0.01;
+
 impl StreetViewService {
     /// Creates a service covering the given survey points.
     ///
@@ -132,7 +134,6 @@ impl StreetViewService {
             points: points.iter().map(|p| (p.id, p.clone())).collect(),
             seed,
             quota: None,
-            coverage_gap_rate: 0.01,
             poison: None,
             billing: None,
             prepaid: HashSet::new(),
@@ -205,13 +206,6 @@ impl StreetViewService {
         self
     }
 
-    /// Sets the fraction of locations with no imagery (default 1%).
-    #[must_use]
-    pub fn with_coverage_gap_rate(mut self, rate: f64) -> Self {
-        self.coverage_gap_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
     /// Attaches a fault-injection schedule: captures at poisoned locations
     /// panic or compose corrupt scenes (failing spec validation before any
     /// fee is billed). Used by the shard supervisor's poison drills.
@@ -235,7 +229,7 @@ impl StreetViewService {
         // a deterministic per-location coverage gap
         let h = splitmix64(child_seed_n(self.seed, "coverage", location.0));
         let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if frac < self.coverage_gap_rate {
+        if frac < COVERAGE_GAP_RATE {
             CoverageStatus::ZeroResults
         } else {
             CoverageStatus::Ok
@@ -528,15 +522,14 @@ mod tests {
 
     #[test]
     fn coverage_gaps_appear_at_configured_rate() {
-        let sample = SurveySample::draw(&County::study_pair(), 400, 1.0, 5).unwrap();
-        let svc = StreetViewService::new(5, sample.points()).with_coverage_gap_rate(0.2);
-        let covered = svc.covered_locations().len();
+        // 1% of 20,000 is 200 gaps, give or take 14
+        let sample = SurveySample::draw(&County::study_pair(), 20_000, 10.0, 5).unwrap();
+        let svc = StreetViewService::new(5, sample.points());
+        let gap = 20_000 - svc.covered_locations().len();
         assert!(
-            (240..=400).contains(&covered),
-            "~80% of 400 should be covered, got {covered}"
+            (140..=260).contains(&gap),
+            "~200 of 20,000 should be gaps, got {gap}"
         );
-        let gap = 400 - covered;
-        assert!(gap > 30, "expected noticeable gaps, got {gap}");
     }
 
     #[test]
@@ -685,8 +678,8 @@ mod tests {
 
     #[test]
     fn an_evicted_scene_bills_again() {
-        let (svc, _) = service(CACHE_CAP / 4 + 1, 15);
-        let svc = svc.with_coverage_gap_rate(0.0);
+        // enough locations that the covered ones give a request past the cap
+        let (svc, _) = service(CACHE_CAP / 4 + 64, 15);
         let requests: Vec<ImageRequest> = svc
             .covered_locations()
             .into_iter()
@@ -694,6 +687,7 @@ mod tests {
             .take(CACHE_CAP + 1)
             .collect::<Result<_>>()
             .unwrap();
+        assert_eq!(requests.len(), CACHE_CAP + 1);
         for req in &requests {
             svc.capture(req).unwrap();
         }

@@ -3,7 +3,7 @@
 # workspace, the benchmark harness's tests, a release smoke run of every
 # benchmark workload and of scripts/ab_pairs.sh, the journal and budget
 # self-tests, the budget gate against the committed BUDGETS.json, the
-# paper-table and drill artifacts self-diffed (the paper tables also against
+# paper-table (t2 and t1) and drill artifacts self-diffed (t2 also against
 # the committed BENCH_paper_tables.json), and the shard_run gate: clean and
 # poisoned shard processes, merged, verified against the single-process run
 # and diffed against it with run_diff. Last it prints the test count, the
@@ -84,6 +84,18 @@ done
 "$BIN/run_diff" --budget "$OUT/paper_tables.budget.json" \
     "$OUT/paper_tables.fresh.json" "$OUT/paper_tables.rerun.json"
 "$BIN/run_diff" BENCH_paper_tables.json "$OUT/paper_tables.fresh.json"
+
+echo "==> paper tables artifact (smoke scale, t1, seed 2025), run twice"
+# t1 trains and scans a detector, which t2 does not: a fit or scan that
+# depended on run order would differ between the two runs
+for run in fresh rerun; do
+    NBHD_SCALE=smoke NBHD_SEED=2025 NBHD_ARTIFACT="$OUT/paper_tables_t1.$run.json" \
+        cargo bench -q -p nbhd-bench --bench paper_tables -- t1 >/dev/null
+done
+"$BIN/budget_gate" derive --headroom 2.0 --out "$OUT/paper_tables_t1.budget.json" \
+    "$OUT/paper_tables_t1.fresh.json" >/dev/null
+"$BIN/run_diff" --budget "$OUT/paper_tables_t1.budget.json" \
+    "$OUT/paper_tables_t1.fresh.json" "$OUT/paper_tables_t1.rerun.json"
 
 echo "==> drill artifacts: overload, region shards and poison drills, each run twice"
 for drill in overload_drill region_shards poison_drill; do
