@@ -12,7 +12,7 @@
 //! file has a torn tail, and 2 on usage or I/O errors.
 //!
 //! `--self-test` exercises the detector end to end: it writes a small
-//! journal in a temp directory, verifies it clean, flips one byte in a
+//! journal file in a temp directory, verifies it clean, flips one byte in a
 //! record body, and asserts the damage is found at a concrete offset.
 
 use std::path::{Path, PathBuf};
@@ -55,32 +55,30 @@ fn report(path: &Path, audit: &JournalAudit) -> ExitCode {
 }
 
 fn self_test() -> Result<(), String> {
-    use nbhd_core::journal::{CheckpointStore, Journal, RunManifest};
+    use nbhd_core::journal::{encode_record, header_bytes, Record};
 
     let dir = std::env::temp_dir().join(format!("nbhd-fsck-selftest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let manifest =
-        RunManifest::for_config("journal-fsck-self-test", &("seed", 7u64)).map_err(fmt)?;
-    let journal = Journal::open_or_create(&dir, &manifest).map_err(fmt)?;
+    std::fs::create_dir_all(&dir).map_err(fmt)?;
+    let mut bytes = header_bytes();
     for key in 0..8u32 {
-        journal
-            .save(
-                "fsck-self-test",
-                &key.to_string(),
-                serde_json::json!({ "key": key, "payload": "abcdefgh" }),
-            )
-            .map_err(fmt)?;
+        bytes.extend(
+            encode_record(&Record {
+                kind: "fsck-self-test".to_owned(),
+                key: key.to_string(),
+                payload: serde_json::json!({ "key": key, "payload": "abcdefgh" }),
+            })
+            .map_err(fmt)?,
+        );
     }
-    drop(journal);
-
     let path = journal_path(&dir);
+    std::fs::write(&path, &bytes).map_err(fmt)?;
     let clean = verify_file(&path).map_err(fmt)?;
     if !clean.is_clean() || clean.records != 8 {
         return Err(format!("expected a clean 8-record journal, got {clean:?}"));
     }
 
     // flip one byte inside a record body, past the header and first frame
-    let mut bytes = std::fs::read(&path).map_err(fmt)?;
     let target = bytes.len() / 2;
     bytes[target] ^= 0xFF;
     std::fs::write(&path, &bytes).map_err(fmt)?;

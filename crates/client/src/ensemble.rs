@@ -7,11 +7,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nbhd_eval::{quorum_vote, QuorumPolicy, VoteProvenance};
-use nbhd_journal::CheckpointStore;
+use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_obs::Obs;
 use nbhd_prompt::Prompt;
 use nbhd_types::rng::child_seed_n;
-use nbhd_types::{Error, IndicatorSet, Result};
+use nbhd_types::{IndicatorSet, Result};
 use nbhd_vlm::{ImageContext, ModelProfile, SamplerParams, VisionModel};
 use serde::{Deserialize, Serialize};
 
@@ -28,9 +28,20 @@ pub const VOTE_RECORD_KIND: &str = "llm-vote";
 /// presence bits plus whether the parse was complete. Only *successful*
 /// responses are journaled — a transport failure is retried on resume.
 #[derive(Debug, Serialize, Deserialize)]
-struct VoteRecord {
+pub struct VoteRecord {
     bits: u8,
     complete: bool,
+}
+
+impl Replayable for VoteRecord {
+    const KIND: &'static str = VOTE_RECORD_KIND;
+
+    fn validate(&self, _key: &str) -> std::result::Result<(), String> {
+        if self.bits > IndicatorSet::FULL.bits() {
+            return Err(format!("bits {:#b} name no indicator set", self.bits));
+        }
+        Ok(())
+    }
 }
 
 /// The idempotency key for one `(model, image)` query. The prompt and
@@ -402,20 +413,16 @@ impl Ensemble {
                 .as_ref()
                 .map(|obs| obs.tracer().enter(&format!("vote-{}", member.profile.name)));
             // replay journaled votes; only the rest go to the transport
-            let mut replayed: Vec<Option<VoteRecord>> = Vec::with_capacity(contexts.len());
-            for ctx in contexts {
-                let record = match &self.checkpoint {
-                    Some(store) => store
-                        .load(VOTE_RECORD_KIND, &vote_key(&member.profile.name, ctx))
-                        .map(|value| {
-                            serde_json::from_value::<VoteRecord>(value)
-                                .map_err(|e| Error::parse(format!("vote record: {e}")))
-                        })
-                        .transpose()?,
-                    None => None,
-                };
-                replayed.push(record);
-            }
+            let replayed = contexts
+                .iter()
+                .map(|ctx| match &self.checkpoint {
+                    Some(store) => nbhd_journal::load::<VoteRecord>(
+                        store.as_ref(),
+                        &vote_key(&member.profile.name, ctx),
+                    ),
+                    None => Ok(None),
+                })
+                .collect::<Result<Vec<_>>>()?;
             let pending: Vec<ModelRequest> = contexts
                 .iter()
                 .zip(&replayed)
@@ -449,46 +456,41 @@ impl Ensemble {
             let mut parse_failures = 0usize;
             let mut transport_failures = 0usize;
             for (ctx, record) in contexts.iter().zip(replayed) {
-                if let Some(record) = record {
-                    let set = IndicatorSet::from_bits(record.bits);
-                    if !record.complete {
-                        parse_failures += 1;
-                    }
-                    presence.push(set);
-                    answered.push(Some(set));
-                    responded.push(true);
-                    continue;
-                }
-                let result = fresh
-                    .next()
-                    .expect("one executor result per pending context");
-                match result {
-                    Ok(response) => {
-                        let (set, complete) = prompt.read_presence(&response.texts);
+                let answer = match record {
+                    Some(record) => Some((IndicatorSet::from_bits(record.bits), record.complete)),
+                    None => match fresh
+                        .next()
+                        .expect("one executor result per pending context")
+                    {
+                        Ok(response) => {
+                            let (set, complete) = prompt.read_presence(&response.texts);
+                            if let Some(store) = &self.checkpoint {
+                                // save-before-act: the vote is durable before
+                                // it counts toward any tally
+                                let record = VoteRecord {
+                                    bits: set.bits(),
+                                    complete,
+                                };
+                                let key = vote_key(&member.profile.name, ctx);
+                                nbhd_journal::save(store.as_ref(), &key, &record)?;
+                            }
+                            Some((set, complete))
+                        }
+                        // transport failures are NOT journaled: a resumed
+                        // run retries them instead of replaying the failure
+                        Err(_) => None,
+                    },
+                };
+                match answer {
+                    Some((set, complete)) => {
                         if !complete {
                             parse_failures += 1;
-                        }
-                        if let Some(store) = &self.checkpoint {
-                            // save-before-act: the vote is durable before it
-                            // counts toward any tally
-                            let record = VoteRecord {
-                                bits: set.bits(),
-                                complete,
-                            };
-                            store.save(
-                                VOTE_RECORD_KIND,
-                                &vote_key(&member.profile.name, ctx),
-                                serde_json::to_value(&record)
-                                    .map_err(|e| Error::parse(format!("vote record: {e}")))?,
-                            )?;
                         }
                         presence.push(set);
                         answered.push(Some(set));
                         responded.push(true);
                     }
-                    Err(_) => {
-                        // transport failures are NOT journaled: a resumed
-                        // run retries them instead of replaying the failure
+                    None => {
                         transport_failures += 1;
                         presence.push(IndicatorSet::new());
                         answered.push(None);

@@ -64,7 +64,9 @@ pub use breaker::{
     CircuitBreaker,
 };
 pub use cost::{token_cost_usd, CostMeter, ModelUsage};
-pub use ensemble::{Ensemble, EnsembleOutcome, ModelAnswers, ResilienceConfig, VOTE_RECORD_KIND};
+pub use ensemble::{
+    Ensemble, EnsembleOutcome, ModelAnswers, ResilienceConfig, VoteRecord, VOTE_RECORD_KIND,
+};
 pub use executor::{BatchExecutor, ExecutorConfig};
 pub use health::{HealthReport, ModelHealth};
 pub use hedge::HedgePolicy;

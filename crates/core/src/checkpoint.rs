@@ -27,7 +27,7 @@ use nbhd_client::{Ensemble, ExecutorConfig, FaultProfile};
 use nbhd_detect::{Detector, DetectorConfig, TrainConfig, Trainer};
 use nbhd_eval::bootstrap_mean_pooled;
 use nbhd_exec::{Parallelism, ScopedPool};
-use nbhd_journal::{CheckpointStore, RunManifest};
+use nbhd_journal::{CheckpointStore, Replayable, RunManifest};
 use nbhd_obs::Obs;
 use nbhd_prompt::{Language, Prompt, PromptMode};
 use nbhd_types::{Error, ImageId, Indicator, Result};
@@ -43,6 +43,34 @@ pub const STAGE_RECORD_KIND: &str = "stage";
 
 /// Stage key under which the trained detector's weights are journaled.
 pub const DETECTOR_STAGE_KEY: &str = "detector";
+
+/// A [`STAGE_RECORD_KIND`] record: the trained detector's JSON text, keyed
+/// [`DETECTOR_STAGE_KEY`]. Reading the detector applies
+/// [`Detector::from_json`]'s field rules; that its cell fits the study's
+/// images is checked where it replays, since only the study knows its
+/// image size.
+#[derive(Debug, Serialize, Deserialize)]
+#[serde(transparent)]
+pub struct DetectorStage(String);
+
+impl Replayable for DetectorStage {
+    const KIND: &'static str = STAGE_RECORD_KIND;
+}
+
+impl DetectorStage {
+    /// The journaled detector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Parse`] naming the record when the text is not a
+    /// valid detector.
+    pub fn detector(&self) -> Result<Detector> {
+        Detector::from_json(&self.0).map_err(|e| match e {
+            Error::Parse(detail) => DetectorStage::invalid(DETECTOR_STAGE_KEY, detail),
+            other => other,
+        })
+    }
+}
 
 /// Deterministic histogram of per-stage virtual durations (ms), one
 /// sample per span recorded by [`run_observed`].
@@ -199,19 +227,16 @@ pub fn run_observed(
     // stage record, so a resumed run skips training entirely; a run that
     // died *during* training resumes from its per-image harvest records.
     let detector_stage = obs.tracer().enter("detector");
-    let detector = match store.load(STAGE_RECORD_KIND, DETECTOR_STAGE_KEY) {
-        Some(value) => {
-            let json = value
-                .as_str()
-                .ok_or_else(|| Error::parse("detector stage record is not a string"))?;
-            let detector = Detector::from_json(json)?;
-            // `from_json` cannot know the image size; a cell larger than
-            // the image would panic the first scan
+    let detector = match nbhd_journal::load::<DetectorStage>(store.as_ref(), DETECTOR_STAGE_KEY)? {
+        Some(stage) => {
+            let detector = stage.detector()?;
+            // a cell larger than the image would panic the first scan
             let (shrink, size) = (detector.config.shrink, plan.survey.image_size);
             if shrink > size {
-                return Err(Error::parse(format!(
-                    "detector stage record: config.shrink {shrink} is larger than the study's image_size {size}"
-                )));
+                return Err(DetectorStage::invalid(
+                    DETECTOR_STAGE_KEY,
+                    format!("config.shrink {shrink} is larger than the study's image_size {size}"),
+                ));
             }
             detector
         }
@@ -232,11 +257,8 @@ pub fn run_observed(
             .with_obs(obs.clone());
             let detector =
                 trainer.fit_checkpointed(survey.dataset(), &survey.provider(), store.as_ref())?;
-            store.save(
-                STAGE_RECORD_KIND,
-                DETECTOR_STAGE_KEY,
-                serde_json::Value::String(detector.to_json()?),
-            )?;
+            let stage = DetectorStage(detector.to_json()?);
+            nbhd_journal::save(store.as_ref(), DETECTOR_STAGE_KEY, &stage)?;
             detector
         }
     };
@@ -378,7 +400,7 @@ mod tests {
                 let size = plan.survey.image_size;
                 let want =
                     format!("config.shrink 1000 is larger than the study's image_size {size}");
-                assert!(msg.starts_with("detector stage record"), "{msg}");
+                assert!(msg.starts_with("stage record detector: "), "{msg}");
                 assert!(msg.contains(&want), "{msg}");
             }
             other => panic!("expected a parse error, got {other:?}"),

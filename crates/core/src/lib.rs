@@ -52,7 +52,8 @@ pub use baseline::{
     AugmentedProvider, BaselineOutcome,
 };
 pub use checkpoint::{
-    run_observed, RunPlan, RunReport, DETECTOR_STAGE_KEY, STAGE_RECORD_KIND, STAGE_VIRTUAL_MS_HIST,
+    run_observed, DetectorStage, RunPlan, RunReport, DETECTOR_STAGE_KEY, STAGE_RECORD_KIND,
+    STAGE_VIRTUAL_MS_HIST,
 };
 pub use config::SurveyConfig;
 pub use distributed::{
@@ -69,11 +70,12 @@ pub use shard::{
     SHARD_PEAK_GAUGE, SHARD_WALL_MS_HIST,
 };
 pub use supervise::{
-    run_supervised, CoverageReport, QuarantineCause, QuarantineRecord, QuarantineStage,
-    RegionCoverage, ShardCoverage, ShardOutcome, SupervisePolicy, ATTEMPT_RECORD_KIND,
-    CAPTURE_RECORD_KIND, CLASS_IMAGE_PREFIX, COVERAGE_FRACTION_GAUGE, QUARANTINE_CAUSE_PREFIX,
-    QUARANTINE_COUNT_METRIC, QUARANTINE_RECORD_KIND, QUARANTINE_RETRY_METRIC,
-    SHARD_OUTCOME_COMPLETED_METRIC, SHARD_OUTCOME_TIMED_OUT_METRIC,
+    run_supervised, AttemptRecord, CaptureRecord, CompletedShard, CoverageReport, QuarantineCause,
+    QuarantineRecord, QuarantineStage, RegionCoverage, ShardCoverage, ShardOutcome,
+    SupervisePolicy, ATTEMPT_RECORD_KIND, CAPTURE_RECORD_KIND, CLASS_IMAGE_PREFIX,
+    COVERAGE_FRACTION_GAUGE, QUARANTINE_CAUSE_PREFIX, QUARANTINE_COUNT_METRIC,
+    QUARANTINE_RECORD_KIND, QUARANTINE_RETRY_METRIC, SHARD_OUTCOME_COMPLETED_METRIC,
+    SHARD_OUTCOME_TIMED_OUT_METRIC,
 };
 pub use transfer::{run_transfer, TransferOutcome};
 

@@ -107,8 +107,8 @@ impl ShardedOutcome {
     }
 
     /// A [`ShardSource`] over this survey: each `load` rebuilds a
-    /// shard-scoped service (scene fees prepaid when the run was
-    /// journaled), so training streams pixels shard by shard too.
+    /// shard-scoped service with the shard's labeled scenes prepaid, so
+    /// training streams pixels shard by shard too and bills no scene.
     pub fn shard_source(&self) -> SurveyShardSource {
         let labels = self
             .survey
@@ -130,7 +130,6 @@ impl ShardedOutcome {
             plan: self.plan,
             points: self.sample.points().to_vec(),
             labels,
-            billing: self.store.clone(),
         }
     }
 
@@ -156,10 +155,7 @@ impl ShardedOutcome {
         let source = self.shard_source();
         let split = self.survey.dataset().split();
         let size = self.survey.dataset().image_size();
-        match &self.store {
-            Some(store) => trainer.fit_sharded_checkpointed(split, size, &source, store.as_ref()),
-            None => trainer.fit_sharded(split, size, &source),
-        }
+        trainer.fit_sharded(split, size, &source, self.store.as_deref())
     }
 }
 
@@ -180,7 +176,9 @@ pub fn merge_shard_annotations(batches: Vec<Vec<ImageLabels>>) -> Vec<ImageLabel
 /// scoped street-view service and hands back that shard's annotations.
 /// The service renders every pixel fetch, so the trainer holds no scene
 /// cache of pixels, and the billed keys it remembers are bounded by the
-/// largest shard.
+/// largest shard. Every labeled image was captured, so the run paid for
+/// its scene: the service starts with the shard's labeled scenes on its
+/// ledger, and a training fetch is a cache hit, never a fee.
 #[derive(Debug)]
 pub struct SurveyShardSource {
     seed: u64,
@@ -188,7 +186,6 @@ pub struct SurveyShardSource {
     plan: ShardPlan,
     points: Vec<SurveyPoint>,
     labels: HashMap<ImageId, ImageLabels>,
-    billing: Option<Arc<dyn CheckpointStore>>,
 }
 
 impl ShardSource for SurveyShardSource {
@@ -205,18 +202,14 @@ impl ShardSource for SurveyShardSource {
             .filter(|p| self.plan.assign(p.id) == shard)
             .cloned()
             .collect();
-        let mut service = StreetViewService::new(self.seed, &points);
-        if let Some(store) = &self.billing {
-            // scene fees from the capture pass restore as prepaid: the
-            // training re-render costs compute, never a second fee
-            service = service.with_billing_store(Arc::clone(store))?;
-        }
         let labels: HashMap<ImageId, ImageLabels> = self
             .labels
             .iter()
             .filter(|(id, _)| self.plan.assign(id.location) == shard)
             .map(|(id, labels)| (*id, labels.clone()))
             .collect();
+        let paid = labels.keys().map(|&id| (id, self.image_size));
+        let service = StreetViewService::new(self.seed, &points).with_ledger(paid, 0, 0);
         Ok(ShardData {
             labels,
             provider: SurveyImageProvider {
@@ -369,6 +362,26 @@ mod tests {
             0,
             "every scene replayed from the journal; nothing rendered"
         );
+    }
+
+    #[test]
+    fn shard_training_services_bill_no_fresh_scene() {
+        use nbhd_detect::ImageProvider;
+        let config = SurveyConfig::smoke(56);
+        let journaled: Arc<dyn CheckpointStore> = Arc::new(MemoryStore::new());
+        for store in [None, Some(journaled)] {
+            let outcome = stream(&config, 3, store, None);
+            let source = outcome.shard_source();
+            for shard in 0..source.shards() {
+                let data = source.load(shard).unwrap();
+                for &id in data.labels.keys() {
+                    data.provider.image(id).unwrap();
+                }
+                let service = &data.provider.service;
+                assert!(service.billed_scenes().is_empty(), "shard {shard} billed");
+                assert_eq!(service.usage().cache_hits, data.labels.len() as u64);
+            }
+        }
     }
 
     #[test]

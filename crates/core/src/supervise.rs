@@ -41,7 +41,7 @@ use nbhd_annotate::{HumanLabeler, LabeledDataset};
 use nbhd_exec::{panic_message, ScopedPool};
 use nbhd_geo::{ShardPlan, SurveySample};
 use nbhd_gsv::{ImageRequest, PoisonSchedule, StreetViewService};
-use nbhd_journal::CheckpointStore;
+use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_obs::{MetricsRegistry, Obs, VirtualClock};
 use nbhd_types::rng::child_seed;
 use nbhd_types::{Error, Heading, ImageId, ImageLabels, Indicator, LocationId, Result};
@@ -56,8 +56,9 @@ use crate::{
 /// payload is the verified human annotation for that image.
 pub const CAPTURE_RECORD_KIND: &str = "capture";
 
-/// Journal record kind for a completed shard: annotations plus the shard's
-/// coverage facts, so a resumed run replays outcome and honesty together.
+/// Journal record kind for a completed shard, keyed `{shard}of{shards}`:
+/// annotations plus the shard's coverage facts, so a resumed run replays
+/// outcome and honesty together.
 const SHARD_KIND: &str = "supervised-shard";
 
 /// Journal record kind for quarantined locations. Key is the location id;
@@ -203,6 +204,30 @@ pub struct QuarantineRecord {
     pub attempts: u32,
     /// The final attempt's failure.
     pub cause: QuarantineCause,
+}
+
+impl Replayable for QuarantineRecord {
+    const KIND: &'static str = QUARANTINE_RECORD_KIND;
+
+    fn validate(&self, key: &str) -> std::result::Result<(), String> {
+        check_ledger_entry(key, self.location, self.attempts)
+    }
+}
+
+/// The rules a quarantine or attempt record shares: it is keyed by its
+/// location's number and counts at least one attempt.
+fn check_ledger_entry(
+    key: &str,
+    location: LocationId,
+    attempts: u32,
+) -> std::result::Result<(), String> {
+    if location.0.to_string() != key {
+        return Err(format!("the record is for {location}"));
+    }
+    if attempts == 0 {
+        return Err("0 attempts".to_owned());
+    }
+    Ok(())
 }
 
 /// How a supervised shard ended.
@@ -395,22 +420,72 @@ impl CoverageReport {
     }
 }
 
-/// Journal payload for one completed shard.
+/// Journal payload for one completed shard. Its key names the shard and
+/// the shard count, and every annotation must belong to that shard.
 #[derive(Debug, Serialize, Deserialize)]
-struct CompletedShard {
+pub struct CompletedShard {
     annotations: Vec<ImageLabels>,
     peak_resident_scenes: usize,
     coverage: ShardCoverage,
+}
+
+impl Replayable for CompletedShard {
+    const KIND: &'static str = SHARD_KIND;
+
+    fn validate(&self, key: &str) -> std::result::Result<(), String> {
+        let parsed = key
+            .split_once("of")
+            .and_then(|(i, n)| Some((i.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
+        let Some((shard, shards)) = parsed.filter(|&(i, n)| i < n) else {
+            return Err("the key is not `{i}of{n}` with i < n".to_owned());
+        };
+        let plan = ShardPlan::new(shards).map_err(|e| e.to_string())?;
+        if self.coverage.shard != shard {
+            return Err(format!("the coverage is shard {}'s", self.coverage.shard));
+        }
+        for labels in &self.annotations {
+            if plan.assign(labels.image.location) != shard {
+                return Err(format!("labels are for {}", labels.image));
+            }
+            check_boxes(labels)?;
+        }
+        Ok(())
+    }
+}
+
+/// Journal payload for one capture-annotate unit, keyed by its image id:
+/// the verified human annotation of that image.
+#[derive(Debug, Serialize, Deserialize)]
+#[serde(transparent)]
+pub struct CaptureRecord(ImageLabels);
+
+impl Replayable for CaptureRecord {
+    const KIND: &'static str = CAPTURE_RECORD_KIND;
+
+    fn validate(&self, key: &str) -> std::result::Result<(), String> {
+        if self.0.image.to_string() != key {
+            return Err(format!("labels are for {}", self.0.image));
+        }
+        check_boxes(&self.0)
+    }
 }
 
 /// Journal payload for one failed attempt: the cumulative attempt count and
 /// the latest cause, so a resume after a crash mid-retry quarantines with
 /// the recorded cause instead of re-executing known poison.
 #[derive(Debug, Serialize, Deserialize)]
-struct AttemptRecord {
+pub struct AttemptRecord {
     location: LocationId,
     attempts: u32,
     cause: QuarantineCause,
+}
+
+impl Replayable for AttemptRecord {
+    const KIND: &'static str = ATTEMPT_RECORD_KIND;
+
+    fn validate(&self, key: &str) -> std::result::Result<(), String> {
+        check_ledger_entry(key, self.location, self.attempts)
+    }
 }
 
 /// A phase-2 work item: either still pending retries or already a
@@ -431,62 +506,37 @@ enum RetryEntry {
 fn capture_unit(
     service: &StreetViewService,
     labeler: &HumanLabeler,
-    store: Option<&Arc<dyn CheckpointStore>>,
+    store: Option<&dyn CheckpointStore>,
     image_size: u32,
     location: LocationId,
     heading: Heading,
 ) -> Result<ImageLabels> {
     let id = ImageId::new(location, heading);
-    if let Some(store) = store {
-        // replay: the annotation was journaled after its scene fee,
-        // so a journaled capture implies a journaled (restored,
-        // prepaid) fee — the unit is skipped whole
-        if let Some(value) = store.load(CAPTURE_RECORD_KIND, &id.to_string()) {
-            let record = format!("capture record {id}");
-            let labels: ImageLabels = serde_json::from_value(value)
-                .map_err(|e| Error::parse(format!("{record}: {e}")))?;
-            check_replayed_labels(&labels, |image| image == id, &record)?;
-            return Ok(labels);
-        }
-    }
-    let request = ImageRequest::builder(location, heading)
-        .size(image_size)
-        .build()?;
-    let capture = service.capture(&request)?;
-    let truth = ImageLabels::with_objects(id, capture.objects);
-    let labels = labeler.annotate(&truth, image_size);
-    if let Some(store) = store {
-        store.save(
-            CAPTURE_RECORD_KIND,
-            &id.to_string(),
-            serde_json::to_value(&labels)
-                .map_err(|e| Error::parse(format!("capture record {id}: {e}")))?,
-        )?;
-    }
+    // replay: the annotation was journaled after its scene fee, so a
+    // journaled capture implies a journaled (restored, prepaid) fee — the
+    // unit is skipped whole
+    let CaptureRecord(labels) = nbhd_journal::replay_or(store, id, || {
+        let request = ImageRequest::builder(location, heading)
+            .size(image_size)
+            .build()?;
+        let capture = service.capture(&request)?;
+        let truth = ImageLabels::with_objects(id, capture.objects);
+        Ok(CaptureRecord(labeler.annotate(&truth, image_size)))
+    })?;
     Ok(labels)
 }
 
-/// Checks journaled labels before they can reach the dataset: a replayed
-/// record is input from outside the process, so labels for an image the
-/// record does not `cover`, or a box that is non-finite or has a negative
-/// size, is an [`Error::Parse`] naming `record`, never a silent misparse.
-/// Shared by the capture-record and shard-record replays.
-fn check_replayed_labels(
-    labels: &ImageLabels,
-    covers: impl Fn(ImageId) -> bool,
-    record: &str,
-) -> Result<()> {
-    let bad = |what: String| Error::parse(format!("{record}: {what}"));
-    if !covers(labels.image) {
-        return Err(bad(format!("labels are for {}", labels.image)));
-    }
+/// Checks journaled labels before they can reach the dataset: a box that
+/// is non-finite or has a negative size is a bad record, never a silent
+/// misparse.
+fn check_boxes(labels: &ImageLabels) -> std::result::Result<(), String> {
     for (i, object) in labels.objects.iter().enumerate() {
         let b = object.bbox;
         if ![b.x, b.y, b.w, b.h].iter().all(|v| v.is_finite()) || b.w < 0.0 || b.h < 0.0 {
-            return Err(bad(format!(
+            return Err(format!(
                 "{}: object {i}: non-finite or negative-size box",
                 labels.image
-            )));
+            ));
         }
     }
     Ok(())
@@ -503,6 +553,7 @@ fn run_unit(
     heading: Heading,
 ) -> std::result::Result<ImageLabels, QuarantineCause> {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let store = store.map(|s| s.as_ref());
         capture_unit(service, labeler, store, image_size, location, heading)
     }));
     match outcome {
@@ -520,16 +571,12 @@ fn save_attempt(
     cause: &QuarantineCause,
 ) -> Result<()> {
     if let Some(store) = store {
-        store.save(
-            ATTEMPT_RECORD_KIND,
-            &location.0.to_string(),
-            serde_json::to_value(&AttemptRecord {
-                location,
-                attempts,
-                cause: cause.clone(),
-            })
-            .map_err(|e| Error::parse(format!("attempt record {location}: {e}")))?,
-        )?;
+        let record = AttemptRecord {
+            location,
+            attempts,
+            cause: cause.clone(),
+        };
+        nbhd_journal::save(store.as_ref(), &location.0.to_string(), &record)?;
     }
     Ok(())
 }
@@ -752,13 +799,7 @@ fn run_shard_supervised(
         // high-water mark, and coverage facts together, with no virtual
         // time charged (later shards' deadlines are relative, so replay
         // does not skew them)
-        if let Some(value) = store.load(SHARD_KIND, &key) {
-            let name = format!("shard record {key}");
-            let record: CompletedShard =
-                serde_json::from_value(value).map_err(|e| Error::parse(format!("{name}: {e}")))?;
-            for labels in &record.annotations {
-                check_replayed_labels(labels, |image| plan.assign(image.location) == shard, &name)?;
-            }
+        if let Some(record) = nbhd_journal::load::<CompletedShard>(store.as_ref(), &key)? {
             return Ok(ShardPass {
                 annotations: record.annotations,
                 peak_resident_scenes: record.peak_resident_scenes,
@@ -787,16 +828,12 @@ fn run_shard_supervised(
     let mut prior_quarantine: HashMap<LocationId, QuarantineRecord> = HashMap::new();
     let mut ledgered: BTreeMap<LocationId, (u32, QuarantineCause)> = BTreeMap::new();
     if let Some(store) = store {
-        for (_, payload) in store.load_kind(QUARANTINE_RECORD_KIND) {
-            let record: QuarantineRecord = serde_json::from_value(payload)
-                .map_err(|e| Error::parse(format!("quarantine record: {e}")))?;
+        for (_, record) in nbhd_journal::load_all::<QuarantineRecord>(store.as_ref())? {
             if planned_set.contains(&record.location) {
                 prior_quarantine.insert(record.location, record);
             }
         }
-        for (_, payload) in store.load_kind(ATTEMPT_RECORD_KIND) {
-            let record: AttemptRecord = serde_json::from_value(payload)
-                .map_err(|e| Error::parse(format!("attempt record: {e}")))?;
+        for (_, record) in nbhd_journal::load_all::<AttemptRecord>(store.as_ref())? {
             if planned_set.contains(&record.location)
                 && !prior_quarantine.contains_key(&record.location)
             {
@@ -976,13 +1013,7 @@ fn run_shard_supervised(
                     if let Some(store) = store {
                         // save-before-act: once journaled, no process will
                         // ever capture this location again
-                        store.save(
-                            QUARANTINE_RECORD_KIND,
-                            &location.0.to_string(),
-                            serde_json::to_value(&record).map_err(|e| {
-                                Error::parse(format!("quarantine record {location}: {e}"))
-                            })?,
-                        )?;
+                        nbhd_journal::save(store.as_ref(), &location.0.to_string(), &record)?;
                     }
                     quarantined.push(record);
                 }
@@ -1008,16 +1039,12 @@ fn run_shard_supervised(
     };
     let peak = service.peak_resident_scenes();
     if let Some(store) = store {
-        store.save(
-            SHARD_KIND,
-            &key,
-            serde_json::to_value(&CompletedShard {
-                annotations: annotations.clone(),
-                peak_resident_scenes: peak,
-                coverage: coverage.clone(),
-            })
-            .map_err(|e| Error::parse(format!("shard record {key}: {e}")))?,
-        )?;
+        let record = CompletedShard {
+            annotations: annotations.clone(),
+            peak_resident_scenes: peak,
+            coverage: coverage.clone(),
+        };
+        nbhd_journal::save(store.as_ref(), &key, &record)?;
     }
     let usage = service.usage();
     Ok(ShardPass {
@@ -1342,7 +1369,7 @@ mod tests {
         capture_unit(
             &service,
             &labeler,
-            Some(&store),
+            Some(store.as_ref()),
             128,
             id.location,
             id.heading,
@@ -1383,6 +1410,28 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_record_key_must_name_a_shard_of_its_plan() {
+        let record = CompletedShard {
+            annotations: Vec::new(),
+            peak_resident_scenes: 0,
+            coverage: ShardCoverage {
+                shard: 0,
+                planned_locations: 0,
+                completed_locations: 0,
+                completed_units: 0,
+                quarantined: Vec::new(),
+                skipped: Vec::new(),
+                outcome: ShardOutcome::Completed,
+                regions: Vec::new(),
+            },
+        };
+        assert_eq!(record.validate("0of2"), Ok(()));
+        for key in ["2of2", "0of0", "0of", "of2", "shard-0", "1of2"] {
+            assert!(record.validate(key).is_err(), "{key}");
+        }
+    }
+
+    #[test]
     fn a_replayed_shard_record_with_bad_labels_is_a_parse_error() {
         let config = SurveyConfig::smoke(68);
         let plan = ShardPlan::new(2).unwrap();
@@ -1415,7 +1464,7 @@ mod tests {
         let negative_box = resume(&|l| l.objects[0].bbox.w = -1.0).err().unwrap();
         for err in [keyed_elsewhere, negative_box] {
             assert!(
-                matches!(&err, Error::Parse(m) if m.starts_with("shard record 0of2: ")),
+                matches!(&err, Error::Parse(m) if m.starts_with("supervised-shard record 0of2: ")),
                 "{err:?}"
             );
         }

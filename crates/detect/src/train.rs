@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use nbhd_annotate::{DatasetSplit, LabeledDataset};
-use nbhd_journal::CheckpointStore;
+use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_obs::Obs;
 use nbhd_raster::RasterImage;
 use nbhd_types::rng::{child_seed, child_seed_n, rng_from};
@@ -17,6 +17,7 @@ use nbhd_types::{BBox, Error, ImageId, ImageLabels, Indicator, IndicatorMap, Res
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 use nbhd_exec::{Parallelism, ScopedPool};
 
@@ -85,6 +86,27 @@ impl Default for TrainConfig {
 /// One image's harvested windows: `(class, mixture component, window,
 /// label)` tuples, in harvest order. This is a harvest record's payload.
 type Windows = Vec<(Indicator, usize, BBox, f32)>;
+
+/// A [`HARVEST_RECORD_KIND`] record: one image's [`Windows`], keyed by its
+/// image id's [`ImageId::key`]. Every box and label must be finite; that a
+/// template index names one of the detector's templates is checked where
+/// the record replays, since only the detector knows its templates.
+#[derive(Debug, Serialize, Deserialize)]
+#[serde(transparent)]
+pub struct HarvestRecord(Windows);
+
+impl Replayable for HarvestRecord {
+    const KIND: &'static str = HARVEST_RECORD_KIND;
+
+    fn validate(&self, _key: &str) -> std::result::Result<(), String> {
+        for (i, (_, _, b, label)) in self.0.iter().enumerate() {
+            if ![b.x, b.y, b.w, b.h, *label].iter().all(|v| v.is_finite()) {
+                return Err(format!("window {i}: non-finite box or label"));
+            }
+        }
+        Ok(())
+    }
+}
 
 /// One image's harvested window examples: [`Windows`] with each window
 /// replaced by its feature.
@@ -203,7 +225,7 @@ impl Trainer {
         provider: &P,
     ) -> Result<Detector> {
         let source = OneShard { dataset, provider };
-        self.fit_sharded_with(dataset.split(), dataset.image_size(), &source, None)
+        self.fit_sharded(dataset.split(), dataset.image_size(), &source, None)
     }
 
     /// [`Trainer::fit`] with harvest checkpointing: each image's harvested
@@ -225,7 +247,7 @@ impl Trainer {
         store: &dyn CheckpointStore,
     ) -> Result<Detector> {
         let source = OneShard { dataset, provider };
-        self.fit_sharded_with(dataset.split(), dataset.image_size(), &source, Some(store))
+        self.fit_sharded(dataset.split(), dataset.image_size(), &source, Some(store))
     }
 
     /// Trains over a sharded stream: the training set is consumed one
@@ -241,37 +263,16 @@ impl Trainer {
     /// multiset-invariant, so neither shard count nor shard arrival order
     /// can reach the weights.
     ///
+    /// With a `store`, each image's harvest is journaled as
+    /// [`Trainer::fit_checkpointed`] journals it, so a run journaled on one
+    /// shard count resumes on any other.
+    ///
     /// # Errors
     ///
-    /// Propagates shard-source failures; returns [`Error::Config`] when the
-    /// train split is empty or a split image appears in no shard.
+    /// Propagates shard-source and store failures; returns
+    /// [`Error::Config`] when the train split is empty or a split image
+    /// appears in no shard.
     pub fn fit_sharded<S: ShardSource>(
-        &self,
-        split: &DatasetSplit,
-        image_size: u32,
-        source: &S,
-    ) -> Result<Detector> {
-        self.fit_sharded_with(split, image_size, source, None)
-    }
-
-    /// [`Trainer::fit_sharded`] with harvest checkpointing, journaling the
-    /// same per-image records as [`Trainer::fit_checkpointed`] — a run
-    /// journaled on one shard count resumes on any other.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Trainer::fit_sharded`], plus store failures.
-    pub fn fit_sharded_checkpointed<S: ShardSource>(
-        &self,
-        split: &DatasetSplit,
-        image_size: u32,
-        source: &S,
-        store: &dyn CheckpointStore,
-    ) -> Result<Detector> {
-        self.fit_sharded_with(split, image_size, source, Some(store))
-    }
-
-    fn fit_sharded_with<S: ShardSource>(
         &self,
         split: &DatasetSplit,
         image_size: u32,
@@ -413,21 +414,25 @@ impl Trainer {
         id: ImageId,
         store: Option<&dyn CheckpointStore>,
     ) -> Result<Examples> {
-        let key = id.key().to_string();
-        let windows = match store.and_then(|store| store.load(HARVEST_RECORD_KIND, &key)) {
-            Some(value) => replayed_windows(detector, value, id)?,
-            None => {
-                let windows = self.harvest_image(detector, labels, size, id);
-                if let Some(store) = store {
-                    // save-before-act: the harvest record is durable before
-                    // any of its examples reach a training pool
-                    let value = serde_json::to_value(&windows)
-                        .map_err(|e| Error::parse(format!("harvest record {id}: {e}")))?;
-                    store.save(HARVEST_RECORD_KIND, &key, value)?;
-                }
-                windows
+        // save-before-act: the harvest record is durable before any of its
+        // examples reach a training pool
+        let HarvestRecord(windows) = nbhd_journal::replay_or(store, id.key(), || {
+            Ok(HarvestRecord(
+                self.harvest_image(detector, labels, size, id),
+            ))
+        })?;
+        // only the detector knows its template counts
+        for (i, &(ind, template, ..)) in windows.iter().enumerate() {
+            let templates = detector.anchors[ind].templates.len();
+            if template >= templates {
+                return Err(HarvestRecord::invalid(
+                    id.key(),
+                    format!(
+                        "window {i}: template {template} of {ind} is out of range 0..{templates}"
+                    ),
+                ));
             }
-        };
+        }
         Ok(windows
             .into_iter()
             .map(|(ind, template, window, label)| {
@@ -704,27 +709,6 @@ where
                 .ok_or_else(|| Error::config(format!("train image {id} missing from every shard")))
         })
         .collect()
-}
-
-/// Decodes a journaled harvest record and checks every window before it
-/// can reach a training pool: a replayed record is input from outside the
-/// process, so a template index out of range or a non-finite box or label
-/// is an [`Error::Parse`], never a panic.
-fn replayed_windows(detector: &Detector, value: serde_json::Value, id: ImageId) -> Result<Windows> {
-    let bad = |what: String| Error::parse(format!("harvest record {id}: {what}"));
-    let windows: Windows = serde_json::from_value(value).map_err(|e| bad(e.to_string()))?;
-    for (i, &(ind, template, b, label)) in windows.iter().enumerate() {
-        let templates = detector.anchors[ind].templates.len();
-        if template >= templates {
-            return Err(bad(format!(
-                "window {i}: template {template} of {ind} is out of range 0..{templates}"
-            )));
-        }
-        if ![b.x, b.y, b.w, b.h, label].iter().all(|v| v.is_finite()) {
-            return Err(bad(format!("window {i}: non-finite box or label")));
-        }
-    }
-    Ok(windows)
 }
 
 /// The `i`-th window of a list of runs, taken run by run.
@@ -1188,7 +1172,7 @@ mod tests {
         for n in [1usize, 3] {
             let source = shard_source(&ds, &images, n);
             let sharded = trainer
-                .fit_sharded(ds.split(), ds.image_size(), &source)
+                .fit_sharded(ds.split(), ds.image_size(), &source, None)
                 .unwrap();
             assert_eq!(plain, sharded, "{n} shards must not change the weights");
         }
@@ -1208,7 +1192,7 @@ mod tests {
         for n in [1usize, 3] {
             let source = shard_source(&ds, &images, n);
             let sharded = trainer
-                .fit_sharded_checkpointed(ds.split(), ds.image_size(), &source, &store)
+                .fit_sharded(ds.split(), ds.image_size(), &source, Some(&store))
                 .unwrap();
             assert_same_bits(&plain, &sharded, &format!("{n} shards replaying"));
             assert_eq!(
@@ -1229,7 +1213,7 @@ mod tests {
             imgs.remove(&victim);
         }
         let err = small_trainer()
-            .fit_sharded(ds.split(), ds.image_size(), &source)
+            .fit_sharded(ds.split(), ds.image_size(), &source, None)
             .unwrap_err();
         assert!(
             err.to_string().contains("missing from every shard"),
@@ -1250,7 +1234,7 @@ mod tests {
         let errors = [
             trainer.fit(&ds, &provider(images)).unwrap_err(),
             trainer
-                .fit_sharded(ds.split(), ds.image_size(), &source)
+                .fit_sharded(ds.split(), ds.image_size(), &source, None)
                 .unwrap_err(),
         ];
         for err in errors {
@@ -1262,7 +1246,7 @@ mod tests {
     }
 
     /// Asserts that `fit_checkpointed` fails with
-    /// `Error::Parse("harvest record {id}: {expected}...")` when the store
+    /// `Error::Parse("harvest record {key}: {expected}...")` when the store
     /// holds `record` as the first train image's harvest.
     fn assert_replay_is_a_parse_error(record: serde_json::Value, expected: &str) {
         use nbhd_journal::MemoryStore;
@@ -1275,7 +1259,7 @@ mod tests {
         let err = small_trainer()
             .fit_checkpointed(&ds, &provider(images), &store)
             .unwrap_err();
-        let prefix = format!("harvest record {victim}: {expected}");
+        let prefix = format!("harvest record {}: {expected}", victim.key());
         assert!(
             matches!(&err, Error::Parse(m) if m.starts_with(&prefix)),
             "unexpected error: {err}"

@@ -6,12 +6,23 @@
 //! sequential loop over the same per-resample seeds).
 
 use nbhd_exec::ScopedPool;
-use nbhd_journal::CheckpointStore;
+use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_types::rng::{child_seed, rng_from};
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 /// Journal record kind for completed bootstrap resamples.
 pub const RESAMPLE_RECORD_KIND: &str = "resample";
+
+/// A [`RESAMPLE_RECORD_KIND`] record: one resample's mean, keyed by the
+/// resample's index. Any number is a mean, so it has no range rule.
+#[derive(Debug, Serialize, Deserialize)]
+#[serde(transparent)]
+pub struct ResampleRecord(f64);
+
+impl Replayable for ResampleRecord {
+    const KIND: &'static str = RESAMPLE_RECORD_KIND;
+}
 
 /// A two-sided bootstrap confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,41 +71,14 @@ pub fn bootstrap_mean(
     assemble_interval(values, means, resamples, level)
 }
 
-/// [`bootstrap_mean`] with per-resample checkpointing: each resample's mean
-/// is journaled under its index, so a resumed run replays completed
-/// resamples instead of redrawing them. The interval is identical to an
-/// uninterrupted [`bootstrap_mean`] — replayed means roundtrip through JSON
-/// bit-exactly, and each resample's RNG depends only on `(seed, index)`.
-///
-/// # Errors
-///
-/// Returns an error when the store fails to persist a resample or holds a
-/// malformed resample record.
-///
-/// # Panics
-///
-/// Same input contract as [`bootstrap_mean`].
-pub fn bootstrap_mean_checkpointed(
-    values: &[f64],
-    resamples: usize,
-    level: f64,
-    seed: u64,
-    store: &dyn CheckpointStore,
-) -> nbhd_types::Result<ConfidenceInterval> {
-    bootstrap_mean_pooled(
-        values,
-        resamples,
-        level,
-        seed,
-        store,
-        &ScopedPool::default(),
-    )
-}
-
-/// [`bootstrap_mean_checkpointed`] riding a caller-supplied [`ScopedPool`]:
-/// the resample fan-out runs at the pool's parallelism and, when the pool
-/// carries a run-scoped metrics registry, its execution counters land
-/// there. The interval is identical at any pool setting.
+/// [`bootstrap_mean`] with per-resample checkpointing, riding a
+/// caller-supplied [`ScopedPool`]: each resample's mean is journaled under
+/// its index, so a resumed run replays completed resamples instead of
+/// redrawing them. The interval is identical to an uninterrupted
+/// [`bootstrap_mean`] — replayed means roundtrip through JSON bit-exactly,
+/// and each resample's RNG depends only on `(seed, index)` — and identical
+/// at any pool setting. When the pool carries a run-scoped metrics
+/// registry, its execution counters land there.
 ///
 /// # Errors
 ///
@@ -120,26 +104,18 @@ pub fn bootstrap_mean_pooled(
     );
     let root = child_seed(seed, "bootstrap");
     let order: Vec<u64> = (0..resamples as u64).collect();
-    let drawn = pool.map(&order, |&resample| {
-        match store.load(RESAMPLE_RECORD_KIND, &resample.to_string()) {
-            Some(value) => match value.as_f64() {
-                Some(mean) => Ok((resample, mean, true)),
-                None => Err(nbhd_types::Error::parse(format!(
-                    "resample record {resample}: not a number"
-                ))),
-            },
-            None => Ok((resample, resample_mean(values, root, resample), false)),
-        }
+    let drawn = pool.map(&order, |&resample| -> nbhd_types::Result<_> {
+        let replayed = nbhd_journal::load(store, &resample.to_string())?;
+        Ok(match replayed {
+            Some(ResampleRecord(mean)) => (mean, true),
+            None => (resample_mean(values, root, resample), false),
+        })
     });
     let mut means = Vec::with_capacity(resamples);
-    for item in drawn {
-        let (resample, mean, replayed) = item?;
+    for (resample, item) in order.iter().zip(drawn) {
+        let (mean, replayed) = item?;
         if !replayed {
-            store.save(
-                RESAMPLE_RECORD_KIND,
-                &resample.to_string(),
-                serde_json::Value::from(mean),
-            )?;
+            nbhd_journal::save(store, &resample.to_string(), &ResampleRecord(mean))?;
         }
         means.push(mean);
     }
@@ -245,21 +221,24 @@ mod tests {
         let plain = bootstrap_mean(&vals, 120, 0.95, 17);
 
         let store = MemoryStore::new();
-        let first = bootstrap_mean_checkpointed(&vals, 120, 0.95, 17, &store).unwrap();
+        let first =
+            bootstrap_mean_pooled(&vals, 120, 0.95, 17, &store, &ScopedPool::default()).unwrap();
         assert_eq!(plain, first, "journaling must not change the interval");
         assert_eq!(store.load_kind(RESAMPLE_RECORD_KIND).len(), 120);
 
         // a "restarted" run replays every resample — and a half-journaled
         // store (simulating a crash mid-bootstrap) completes to the same
         // interval
-        let resumed = bootstrap_mean_checkpointed(&vals, 120, 0.95, 17, &store).unwrap();
+        let resumed =
+            bootstrap_mean_pooled(&vals, 120, 0.95, 17, &store, &ScopedPool::default()).unwrap();
         assert_eq!(plain, resumed);
 
         let partial = MemoryStore::new();
         for (key, value) in store.load_kind(RESAMPLE_RECORD_KIND).into_iter().take(50) {
             partial.save(RESAMPLE_RECORD_KIND, &key, value).unwrap();
         }
-        let completed = bootstrap_mean_checkpointed(&vals, 120, 0.95, 17, &partial).unwrap();
+        let completed =
+            bootstrap_mean_pooled(&vals, 120, 0.95, 17, &partial, &ScopedPool::default()).unwrap();
         assert_eq!(plain, completed);
         assert_eq!(partial.load_kind(RESAMPLE_RECORD_KIND).len(), 120);
     }

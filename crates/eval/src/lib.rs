@@ -33,8 +33,7 @@ mod report;
 mod vote;
 
 pub use bootstrap::{
-    bootstrap_mean, bootstrap_mean_checkpointed, bootstrap_mean_pooled, ConfidenceInterval,
-    RESAMPLE_RECORD_KIND,
+    bootstrap_mean, bootstrap_mean_pooled, ConfidenceInterval, ResampleRecord, RESAMPLE_RECORD_KIND,
 };
 pub use chart::{bar_chart, line_chart};
 pub use confusion::BinaryConfusion;

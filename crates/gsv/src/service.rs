@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use nbhd_journal::CheckpointStore;
+use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_raster::RasterImage;
 use nbhd_scene::{labels, render, SceneGenerator, SceneSpec};
 use nbhd_types::rng::{child_seed_n, splitmix64};
@@ -20,13 +20,40 @@ pub const FEE_PER_IMAGE_USD: f64 = 0.007;
 /// Journal record kind for billed scene fees.
 pub const FEE_RECORD_KIND: &str = "gsv-fee";
 
-/// Journal payload for one billed scene: enough to rebuild the billing key
-/// `(ImageId, size)` on resume.
+/// Journal payload for one billed scene, keyed `{image id}/{size}`:
+/// enough to rebuild the billing key `(ImageId, size)` on resume.
 #[derive(Debug, Serialize, Deserialize)]
-struct FeeRecord {
+pub struct FeeRecord {
     location: u64,
     heading: u8,
     size: u32,
+}
+
+impl FeeRecord {
+    /// The billing key, `None` for a heading index past [`Heading::ALL`].
+    fn billing_key(&self) -> Option<(ImageId, u32)> {
+        let heading = *Heading::ALL.get(usize::from(self.heading))?;
+        Some((ImageId::new(LocationId(self.location), heading), self.size))
+    }
+}
+
+/// The journal key of a billed scene.
+fn fee_key((image, size): (ImageId, u32)) -> String {
+    format!("{image}/{size}")
+}
+
+impl Replayable for FeeRecord {
+    const KIND: &'static str = FEE_RECORD_KIND;
+
+    fn validate(&self, key: &str) -> std::result::Result<(), String> {
+        let billing = self
+            .billing_key()
+            .ok_or_else(|| format!("heading index {} is out of range", self.heading))?;
+        if fee_key(billing) != key {
+            return Err(format!("the record bills {}", fee_key(billing)));
+        }
+        Ok(())
+    }
 }
 
 /// Response status codes, after the real API's metadata statuses.
@@ -155,13 +182,10 @@ impl StreetViewService {
     ///
     /// Returns [`Error::Parse`] when a restored fee record is malformed.
     pub fn with_billing_store(mut self, store: Arc<dyn CheckpointStore>) -> Result<Self> {
-        for (key, payload) in store.load_kind(FEE_RECORD_KIND) {
-            let fee: FeeRecord = serde_json::from_value(payload)
-                .map_err(|e| Error::parse(format!("fee record {key}: {e}")))?;
-            let heading = *Heading::ALL
-                .get(fee.heading as usize)
-                .ok_or_else(|| Error::parse(format!("fee record {key}: bad heading")))?;
-            self.prepay((ImageId::new(LocationId(fee.location), heading), fee.size));
+        // every loaded fee validated, so each has a billing key
+        let fees = nbhd_journal::load_all::<FeeRecord>(store.as_ref())?;
+        for key in fees.iter().filter_map(|(_, fee)| fee.billing_key()) {
+            self.prepay(key);
         }
         self.billing = Some(store);
         Ok(self)
@@ -324,12 +348,7 @@ impl StreetViewService {
                     heading: key.0.heading.index() as u8,
                     size: key.1,
                 };
-                billing.save(
-                    FEE_RECORD_KIND,
-                    &format!("{}/{}", key.0, key.1),
-                    serde_json::to_value(&fee)
-                        .map_err(|e| Error::parse(format!("fee record: {e}")))?,
-                )?;
+                nbhd_journal::save(billing.as_ref(), &fee_key(key), &fee)?;
             }
             state.usage.billed_images += 1;
             state.usage.fees_usd += FEE_PER_IMAGE_USD;

@@ -27,24 +27,49 @@
 //! journal compatible with the deterministic parallel substrate in
 //! `nbhd-exec`.
 //!
+//! Each record kind is a type implementing [`Replayable`]: its kind name,
+//! its serde payload, and the checks the record and its key alone decide.
+//! Every layer goes through [`load`], [`load_all`], [`save`] and
+//! [`replay_or`], so a bad record is always
+//! `Error::Parse("{KIND} record {key}: …")`.
+//!
 //! # Examples
 //!
 //! ```
-//! use nbhd_journal::{CheckpointStore, Journal, RunManifest};
+//! use nbhd_journal::{replay_or, Journal, Replayable, RunManifest};
+//! use serde::{Deserialize, Serialize};
+//!
+//! #[derive(Serialize, Deserialize)]
+//! struct Fee {
+//!     cents: u32,
+//! }
+//!
+//! impl Replayable for Fee {
+//!     const KIND: &'static str = "fee";
+//!
+//!     fn validate(&self, _key: &str) -> Result<(), String> {
+//!         match self.cents {
+//!             0 => Err("a fee of 0 cents".to_owned()),
+//!             _ => Ok(()),
+//!         }
+//!     }
+//! }
 //!
 //! let dir = std::env::temp_dir().join("nbhd-journal-doc");
 //! let _ = std::fs::remove_dir_all(&dir);
 //! let manifest = RunManifest::for_config("doc-run", &("seed", 7u64))?;
 //! let journal = Journal::open_or_create(&dir, &manifest)?;
-//! journal.save("capture", "12@N", serde_json::json!({ "ok": true }))?;
+//! // computed, journaled, and only then returned
+//! let fee = replay_or(Some(&journal), "12@N", || Ok(Fee { cents: 700 }))?;
 //! drop(journal);
 //!
-//! // a "restarted process" resumes from the same directory
+//! // a "restarted process" replays the record instead of computing it
 //! let journal = Journal::open_or_create(&dir, &manifest)?;
 //! assert_eq!(journal.restored_records(), 1);
-//! assert!(journal.load("capture", "12@N").is_some());
+//! let replayed: Fee = replay_or(Some(&journal), "12@N", || unreachable!())?;
+//! assert_eq!(replayed.cents, fee.cents);
 //! std::fs::remove_dir_all(&dir).ok();
-//! # Ok::<(), nbhd_journal::JournalError>(())
+//! # Ok::<(), nbhd_types::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,6 +79,7 @@ mod error;
 mod journal;
 mod manifest;
 mod record;
+mod replay;
 
 pub use error::JournalError;
 pub use journal::{
@@ -65,3 +91,4 @@ pub use record::{
     encode_record, fnv1a64, header_bytes, scan_bytes, JournalScan, Record, FORMAT_VERSION,
     HEADER_LEN, MAGIC,
 };
+pub use replay::{load, load_all, replay_or, save, Replayable};

@@ -12,16 +12,11 @@
 //!   `traceEvents` document on the virtual timeline, for eyeballing
 //!   where a run spent its (virtual) time.
 //!
-//! Artifacts travel through plain files ([`RunArtifact::write_file`]) or
-//! through any [`CheckpointStore`] as `"run-artifact"` records, so a
-//! crash-safe journal can carry the run's own flight recording alongside
-//! its checkpoints.
+//! Artifacts travel through plain files ([`RunArtifact::write_file`]).
 
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
 
-use nbhd_journal::CheckpointStore;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
@@ -34,9 +29,6 @@ use crate::trace::SpanRecord;
 /// Current artifact schema version. Bump on any breaking change to the
 /// [`RunArtifact`] layout; readers reject artifacts from the future.
 pub const ARTIFACT_SCHEMA_VERSION: u32 = 1;
-
-/// Journal record kind for exported artifacts.
-pub const ARTIFACT_RECORD_KIND: &str = "run-artifact";
 
 /// Which shard of a distributed run an artifact records.
 ///
@@ -201,10 +193,6 @@ pub enum ExportError {
         /// Newest version this reader understands.
         supported: u32,
     },
-    /// No record under the requested key in the store.
-    Missing(String),
-    /// The checkpoint store rejected the save.
-    Store(String),
 }
 
 impl fmt::Display for ExportError {
@@ -216,8 +204,6 @@ impl fmt::Display for ExportError {
                 f,
                 "artifact schema version {found} is newer than supported {supported}"
             ),
-            ExportError::Missing(key) => write!(f, "no run artifact under key {key:?}"),
-            ExportError::Store(detail) => write!(f, "artifact store: {detail}"),
         }
     }
 }
@@ -538,40 +524,11 @@ impl RunArtifact {
     pub fn read_file(path: &Path) -> Result<RunArtifact, ExportError> {
         RunArtifact::from_json(&std::fs::read_to_string(path)?)
     }
-
-    /// Saves the artifact into a checkpoint store as a
-    /// [`ARTIFACT_RECORD_KIND`] record keyed by the artifact name, so a
-    /// run's journal can carry its own flight recording.
-    pub fn save_to_store(&self, store: &Arc<dyn CheckpointStore>) -> Result<(), ExportError> {
-        let payload = serde_json::to_value(self)?;
-        store
-            .save(ARTIFACT_RECORD_KIND, &self.name, payload)
-            .map_err(|err| ExportError::Store(err.to_string()))
-    }
-
-    /// Loads an artifact saved by [`RunArtifact::save_to_store`].
-    pub fn load_from_store(
-        store: &Arc<dyn CheckpointStore>,
-        name: &str,
-    ) -> Result<RunArtifact, ExportError> {
-        let payload = store
-            .load(ARTIFACT_RECORD_KIND, name)
-            .ok_or_else(|| ExportError::Missing(name.to_string()))?;
-        let artifact: RunArtifact = serde_json::from_value(payload)?;
-        if artifact.schema_version > ARTIFACT_SCHEMA_VERSION {
-            return Err(ExportError::SchemaVersion {
-                found: artifact.schema_version,
-                supported: ARTIFACT_SCHEMA_VERSION,
-            });
-        }
-        Ok(artifact)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbhd_journal::MemoryStore;
 
     fn sample_obs() -> Obs {
         let obs = Obs::new();
@@ -661,17 +618,6 @@ mod tests {
         let back = RunArtifact::read_file(&path).unwrap();
         assert_eq!(artifact, back);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_roundtrip_by_name() {
-        let store: Arc<dyn CheckpointStore> = Arc::new(MemoryStore::new());
-        let artifact = RunArtifact::from_obs("smoke-run", &sample_obs());
-        artifact.save_to_store(&store).unwrap();
-        let back = RunArtifact::load_from_store(&store, "smoke-run").unwrap();
-        assert_eq!(artifact, back);
-        let err = RunArtifact::load_from_store(&store, "absent").unwrap_err();
-        assert!(matches!(err, ExportError::Missing(_)), "{err}");
     }
 
     fn shard_artifact(index: usize, count: usize) -> RunArtifact {

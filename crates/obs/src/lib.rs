@@ -48,10 +48,7 @@ pub use budget::{
 };
 pub use clock::VirtualClock;
 pub use coverage::{RegionCoverageRow, RunCoverage, ShardCoverageRow};
-pub use export::{
-    ExportError, MergeError, RunArtifact, ShardIdentity, ARTIFACT_RECORD_KIND,
-    ARTIFACT_SCHEMA_VERSION,
-};
+pub use export::{ExportError, MergeError, RunArtifact, ShardIdentity, ARTIFACT_SCHEMA_VERSION};
 pub use hist::Histogram;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use summary::{Obs, RunSummary};

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use nbhd_journal::CheckpointStore;
+use nbhd_journal::{CheckpointStore, Replayable};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -85,6 +85,23 @@ impl SpanRecord {
             start = self.start_vms,
             end = self.end_vms
         )
+    }
+}
+
+impl Replayable for SpanRecord {
+    const KIND: &'static str = SPAN_RECORD_KIND;
+
+    fn validate(&self, key: &str) -> Result<(), String> {
+        if self.key != key {
+            return Err(format!("the record is span {}", self.key));
+        }
+        if self.end_vms < self.start_vms {
+            return Err(format!(
+                "ends at {} ms, before its start at {} ms",
+                self.end_vms, self.start_vms
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -173,10 +190,8 @@ impl Tracer {
         if let Some(sink) = inner.sink.clone() {
             // Best-effort, deduplicated: telemetry must never fail the
             // run, and a resumed run must not journal a span key twice.
-            if sink.load(SPAN_RECORD_KIND, &span.key).is_none() {
-                if let Ok(payload) = serde_json::to_value(&span) {
-                    let _ = sink.save(SPAN_RECORD_KIND, &span.key, payload);
-                }
+            if let Ok(None) = nbhd_journal::load::<SpanRecord>(sink.as_ref(), &span.key) {
+                let _ = nbhd_journal::save(sink.as_ref(), &span.key, &span);
             }
         }
         inner.spans.push(span);

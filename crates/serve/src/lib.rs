@@ -68,8 +68,8 @@ mod tiers;
 pub use admission::{AdmissionController, Rejected, TenantGate};
 pub use detector::EvidenceDetector;
 pub use service::{
-    Rejection, RunReport, ServiceConfig, ServiceResponse, SurveyService, REJECTION_RECORD_KIND,
-    RESPONSE_RECORD_KIND,
+    Rejection, RejectionRecord, ResponseRecord, RunReport, ServiceConfig, ServiceResponse,
+    SurveyService, REJECTION_RECORD_KIND, RESPONSE_RECORD_KIND,
 };
 pub use slo::SloSpec;
 pub use storm::{Arrival, StormBuilder, Workload};

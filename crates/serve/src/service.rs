@@ -32,7 +32,7 @@ use nbhd_client::{
     ScheduledTransport, SimulatedTransport, TokenBucket, Transport, TransportError, VirtualClock,
 };
 use nbhd_eval::{quorum_vote, QuorumPolicy, VoteFallback};
-use nbhd_journal::CheckpointStore;
+use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_obs::{MetricsRegistry, MetricsSnapshot, Obs, RunArtifact, ARTIFACT_SCHEMA_VERSION};
 use nbhd_prompt::{Language, Prompt, PromptMode};
 use nbhd_types::rng::child_seed_n;
@@ -55,13 +55,30 @@ pub const RESPONSE_RECORD_KIND: &str = "serve-response";
 /// The durable record of one served response: enough to replay the
 /// answer *and* the bill on resume without re-querying any model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ResponseRecord {
+pub struct ResponseRecord {
     bits: u8,
-    tier: String,
+    tier: ServiceTier,
     input_tokens: u64,
     output_tokens: u64,
     usd: f64,
     wait_ms: u64,
+}
+
+impl Replayable for ResponseRecord {
+    const KIND: &'static str = RESPONSE_RECORD_KIND;
+
+    fn validate(&self, _key: &str) -> std::result::Result<(), String> {
+        if self.bits > IndicatorSet::FULL.bits() {
+            return Err(format!("bits {:#b} name no indicator set", self.bits));
+        }
+        if !(self.usd.is_finite() && self.usd >= 0.0) {
+            return Err(format!(
+                "usd {} is not a finite amount of at least 0",
+                self.usd
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Journal record kind for rejected arrivals.
@@ -71,8 +88,12 @@ pub const REJECTION_RECORD_KIND: &str = "serve-rejection";
 /// rejects the same arrival again without consulting quota, queue or
 /// budget.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct RejectionRecord {
+pub struct RejectionRecord {
     reason: Rejected,
+}
+
+impl Replayable for RejectionRecord {
+    const KIND: &'static str = REJECTION_RECORD_KIND;
 }
 
 /// The idempotency key for one tenant request.
@@ -576,9 +597,7 @@ impl SurveyService {
         // rejection rejects again for its recorded reason.
         let key = request_key(&tenant, request_id);
         if let Some(store) = &self.checkpoint {
-            if let Some(value) = store.load(REJECTION_RECORD_KIND, &key) {
-                let record: RejectionRecord = serde_json::from_value(value)
-                    .map_err(|e| Error::parse(format!("serve rejection record: {e}")))?;
+            if let Some(record) = nbhd_journal::load::<RejectionRecord>(store.as_ref(), &key)? {
                 self.tenants
                     .get_mut(&tenant)
                     .ok_or_else(|| Error::config(format!("unknown tenant {tenant}")))?
@@ -587,11 +606,8 @@ impl SurveyService {
                 state.reject(&registry, now, tenant, request_id, record.reason, true);
                 return Ok(());
             }
-            if let Some(value) = store.load(RESPONSE_RECORD_KIND, &key) {
-                let record: ResponseRecord = serde_json::from_value(value)
-                    .map_err(|e| Error::parse(format!("serve response record: {e}")))?;
-                let tier = ServiceTier::parse(&record.tier)
-                    .ok_or_else(|| Error::parse(format!("unknown service tier {}", record.tier)))?;
+            if let Some(record) = nbhd_journal::load::<ResponseRecord>(store.as_ref(), &key)? {
+                let tier = record.tier;
                 let t = self
                     .tenants
                     .get_mut(&tenant)
@@ -675,12 +691,7 @@ impl SurveyService {
                     let record = RejectionRecord {
                         reason: reason.clone(),
                     };
-                    store.save(
-                        REJECTION_RECORD_KIND,
-                        &key,
-                        serde_json::to_value(&record)
-                            .map_err(|e| Error::parse(format!("serve rejection record: {e}")))?,
-                    )?;
+                    nbhd_journal::save(store.as_ref(), &key, &record)?;
                 }
                 tenant_state.bill.rejected += 1;
                 state.reject(&registry, now, tenant, request_id, reason, false);
@@ -938,19 +949,15 @@ impl SurveyService {
             let wait_ms = now.saturating_sub(request.arrival_ms);
             let record = ResponseRecord {
                 bits: served.presence.bits(),
-                tier: served.tier.as_str().to_string(),
+                tier: served.tier,
                 input_tokens: served.input_tokens,
                 output_tokens: served.output_tokens,
                 usd: served.usd,
                 wait_ms,
             };
             if let Some(store) = &self.checkpoint {
-                store.save(
-                    RESPONSE_RECORD_KIND,
-                    &request_key(&request.tenant, request.request_id),
-                    serde_json::to_value(&record)
-                        .map_err(|e| Error::parse(format!("serve response record: {e}")))?,
-                )?;
+                let key = request_key(&request.tenant, request.request_id);
+                nbhd_journal::save(store.as_ref(), &key, &record)?;
             }
             let tenant = self
                 .tenants

@@ -3,19 +3,24 @@
 use std::fmt;
 
 use nbhd_eval::VoteFallback;
+use serde::{Deserialize, Serialize};
 
 /// How much machinery a request is served with. Variants are declared in
 /// degradation order, so `Ord::max` combines independent signals into the
 /// most-degraded applicable tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Journal records name a tier by its [`ServiceTier::as_str`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ServiceTier {
     /// Every ensemble member is queried and the voters vote.
+    #[serde(rename = "full")]
     FullEnsemble,
     /// Only breaker-healthy voters are queried; the vote degrades per
     /// [`nbhd_eval::quorum_vote`].
+    #[serde(rename = "quorum")]
     DegradedQuorum,
     /// No model is queried: the [`crate::EvidenceDetector`] answers from
     /// scene evidence alone.
+    #[serde(rename = "detector")]
     DetectorOnly,
 }
 
@@ -26,16 +31,6 @@ impl ServiceTier {
             ServiceTier::FullEnsemble => "full",
             ServiceTier::DegradedQuorum => "quorum",
             ServiceTier::DetectorOnly => "detector",
-        }
-    }
-
-    /// Parses [`ServiceTier::as_str`] back; `None` for unknown names.
-    pub fn parse(name: &str) -> Option<ServiceTier> {
-        match name {
-            "full" => Some(ServiceTier::FullEnsemble),
-            "quorum" => Some(ServiceTier::DegradedQuorum),
-            "detector" => Some(ServiceTier::DetectorOnly),
-            _ => None,
         }
     }
 }
@@ -139,9 +134,11 @@ mod tests {
             ServiceTier::DegradedQuorum,
             ServiceTier::DetectorOnly,
         ] {
-            assert_eq!(ServiceTier::parse(tier.as_str()), Some(tier));
+            let name = serde_json::to_value(&tier).unwrap();
+            assert_eq!(name.as_str(), Some(tier.as_str()));
+            assert_eq!(serde_json::from_value::<ServiceTier>(name).unwrap(), tier);
             assert_eq!(tier.to_string(), tier.as_str());
         }
-        assert_eq!(ServiceTier::parse("turbo"), None);
+        assert!(serde_json::from_value::<ServiceTier>(serde_json::json!("turbo")).is_err());
     }
 }

@@ -7,7 +7,8 @@
 # the committed BENCH_paper_tables.json), and the shard_run gate: clean and
 # poisoned shard processes, merged, verified against the single-process run
 # and diffed against it with run_diff. Last it prints the test count, the
-# Rust line count and its own wall time.
+# Rust line count and its own wall time. A killed and resumed crash_resume
+# run's journal is audited with journal_fsck as well.
 #
 # It runs in place on the checkout as committed: every dependency is a path
 # dependency, so no registry is needed and nothing in the checkout is
@@ -59,6 +60,17 @@ cargo build -q -p nbhd-bench --bin shard_run --bin run_diff --bin budget_gate --
 echo "==> journal_fsck and budget_gate self-tests"
 "$BIN/journal_fsck" --self-test
 "$BIN/budget_gate" --self-test
+
+echo "==> crash_resume: killed after 40 appends, resumed in one directory, audited"
+# The self-test audits a synthetic journal; this audits a real one holding
+# every record kind a study writes, after a torn-write kill and a resume.
+rm -rf "$OUT/crash-run"
+cargo run -q --example crash_resume -- "$OUT/crash-run" --kill 40 >"$OUT/crash-kill.out"
+grep -q 'process died' "$OUT/crash-kill.out"
+cargo run -q --example crash_resume -- "$OUT/crash-run" >"$OUT/crash-resume.out"
+grep -q 'recovered from a crash' "$OUT/crash-resume.out"
+grep -q 'run complete' "$OUT/crash-resume.out"
+"$BIN/journal_fsck" "$OUT/crash-run"
 
 echo "==> budget gate: a fresh quickstart run against BUDGETS.json"
 cargo run -q --example quickstart >/dev/null
