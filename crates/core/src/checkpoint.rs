@@ -3,7 +3,11 @@
 //!
 //! [`run_observed`] executes the full study — capture+annotate,
 //! detector training, the LLM ensemble vote, and the bootstrap CI — with
-//! every completed unit journaled through one [`CheckpointStore`]. Kill
+//! every completed unit that costs to redo journaled through one
+//! [`CheckpointStore`]: a scene fee, a capture's labels, a finished shard,
+//! the trained detector, an LLM vote. A fit's per-image harvest and a
+//! bootstrap resample are pure functions of their seeds, cheaper to redo
+//! than to read back, so they are recomputed instead. Kill
 //! the process anywhere (see `tests/crash_resume.rs`, which kills it at
 //! *every record boundary*, including mid-record torn writes) and rerun
 //! with the same plan and store: the resumed [`RunReport`] is
@@ -15,8 +19,8 @@
 //! * every stochastic unit draws from a seed keyed by its identity, never
 //!   from a shared RNG, so redone and replayed units interleave freely;
 //! * `f32`/`f64` payloads roundtrip through JSON bit-exactly (shortest
-//!   decimal representation), so replayed weights and means are the same
-//!   bytes the original process computed;
+//!   decimal representation), so replayed weights are the same bytes the
+//!   original process computed;
 //! * fees are restored by repeated addition in the same fold order the
 //!   uninterrupted run used, so totals match to the last bit.
 
@@ -25,7 +29,7 @@ use std::sync::Arc;
 
 use nbhd_client::{Ensemble, ExecutorConfig, FaultProfile};
 use nbhd_detect::{Detector, DetectorConfig, TrainConfig, Trainer};
-use nbhd_eval::bootstrap_mean_pooled;
+use nbhd_eval::bootstrap_mean;
 use nbhd_exec::{Parallelism, ScopedPool};
 use nbhd_journal::{CheckpointStore, Replayable, RunManifest};
 use nbhd_obs::Obs;
@@ -45,7 +49,8 @@ pub const STAGE_RECORD_KIND: &str = "stage";
 pub const DETECTOR_STAGE_KEY: &str = "detector";
 
 /// A [`STAGE_RECORD_KIND`] record: the trained detector's JSON text, keyed
-/// [`DETECTOR_STAGE_KEY`]. Reading the detector applies
+/// [`DETECTOR_STAGE_KEY`], which is also the report's
+/// [`RunReport::detector_json`]. Reading the detector applies
 /// [`Detector::from_json`]'s field rules; that its cell fits the study's
 /// images is checked where it replays, since only the study knows its
 /// image size.
@@ -184,8 +189,10 @@ pub struct RunReport {
 }
 
 /// Runs the full study under a checkpoint store: survey capture, detector
-/// training, LLM ensemble vote, and bootstrap CI, each journaling its
-/// completed units. Rerunning with the same plan and store resumes from
+/// training, LLM ensemble vote, and bootstrap CI. The survey journals its
+/// fees, captures and shards, the detector its finished weights, and the
+/// ensemble its votes; the fit's harvest and the bootstrap redraw from
+/// their seeds. Rerunning with the same plan and store resumes from
 /// wherever the previous process died and lands on a byte-identical
 /// [`RunReport`].
 ///
@@ -224,10 +231,11 @@ pub fn run_observed(
     let dataset_json = canonical_dataset_json(&survey)?;
 
     // Stage 2: the detector. The finished weights are journaled as one
-    // stage record, so a resumed run skips training entirely; a run that
-    // died *during* training resumes from its per-image harvest records.
+    // stage record whose text is the report's detector JSON, so a resumed
+    // run skips training and serializes nothing; a run that died *during*
+    // training trains again, which bills no scene and no token.
     let detector_stage = obs.tracer().enter("detector");
-    let detector = match nbhd_journal::load::<DetectorStage>(store.as_ref(), DETECTOR_STAGE_KEY)? {
+    let stage = match nbhd_journal::load::<DetectorStage>(store.as_ref(), DETECTOR_STAGE_KEY)? {
         Some(stage) => {
             let detector = stage.detector()?;
             // a cell larger than the image would panic the first scan
@@ -238,7 +246,7 @@ pub fn run_observed(
                     format!("config.shrink {shrink} is larger than the study's image_size {size}"),
                 ));
             }
-            detector
+            stage
         }
         None => {
             let trainer = Trainer::new(
@@ -255,15 +263,14 @@ pub fn run_observed(
                 },
             )
             .with_obs(obs.clone());
-            let detector =
-                trainer.fit_checkpointed(survey.dataset(), &survey.provider(), store.as_ref())?;
+            let detector = trainer.fit(survey.dataset(), &survey.provider())?;
             let stage = DetectorStage(detector.to_json()?);
             nbhd_journal::save(store.as_ref(), DETECTOR_STAGE_KEY, &stage)?;
-            detector
+            stage
         }
     };
     detector_stage.record();
-    let detector_json = detector.to_json()?;
+    let DetectorStage(detector_json) = stage;
 
     // Stage 3: the LLM ensemble vote, with each (model, image) query
     // journaled under an idempotency key.
@@ -295,8 +302,8 @@ pub fn run_observed(
     let votes_json =
         serde_json::to_string(&votes).map_err(|e| Error::parse(format!("votes: {e}")))?;
 
-    // Stage 4: bootstrap CI over per-image vote correctness, with each
-    // resample's mean journaled under its index.
+    // Stage 4: bootstrap CI over per-image vote correctness, redrawn from
+    // the plan's seed on every run.
     let correctness: Vec<f64> = contexts
         .iter()
         .zip(&outcome.voted)
@@ -311,14 +318,13 @@ pub fn run_observed(
     let voted_accuracy = correctness.iter().sum::<f64>() / correctness.len() as f64;
     let bootstrap_stage = obs.tracer().enter("bootstrap");
     let pool = ScopedPool::new(plan.survey.parallelism).with_metrics(Arc::clone(obs.registry()));
-    let ci = bootstrap_mean_pooled(
+    let ci = bootstrap_mean(
         &correctness,
         plan.resamples,
         plan.level,
         plan.survey.seed,
-        store.as_ref(),
         &pool,
-    )?;
+    );
     bootstrap_stage.record();
 
     let usage = survey.imagery_usage();
@@ -471,60 +477,59 @@ mod tests {
     }
 
     #[test]
-    fn a_kill_mid_harvest_resumes_to_the_uninterrupted_report() {
-        use nbhd_detect::HARVEST_RECORD_KIND;
+    fn the_stage_text_is_the_reports_detector_json() {
+        let plan = RunPlan::smoke(45);
+        let store = Arc::new(MemoryStore::new());
+        let report = run_observed(&plan, store.clone(), &Obs::default()).unwrap();
+        let DetectorStage(text) = nbhd_journal::load(store.as_ref(), DETECTOR_STAGE_KEY)
+            .unwrap()
+            .expect("a fresh run journals its detector");
+        assert_eq!(text, report.detector_json);
+        assert_eq!(Detector::from_json(&text).unwrap().to_json().unwrap(), text);
+    }
+
+    #[test]
+    fn a_kill_mid_fit_resumes_to_the_uninterrupted_report() {
         use nbhd_journal::{journal_path, scan_file, Journal, KillSchedule};
         let plan = RunPlan::smoke(47);
         let run = |store: Arc<dyn CheckpointStore>| run_observed(&plan, store, &Obs::default());
         let expected = run(Arc::new(MemoryStore::new())).unwrap();
-        let manifest = plan.manifest("kill-mid-harvest").unwrap();
-        let dir =
-            std::env::temp_dir().join(format!("nbhd-kill-mid-harvest-{}", std::process::id()));
-        let harvest_keys = |dir: &std::path::Path| -> Vec<String> {
+        let manifest = plan.manifest("kill-mid-fit").unwrap();
+        let dir = std::env::temp_dir().join(format!("nbhd-kill-mid-fit-{}", std::process::id()));
+        let stage_frames = |dir: &std::path::Path| {
             let scan = scan_file(&journal_path(dir)).unwrap();
             scan.records
-                .into_iter()
-                .filter(|r| r.kind == HARVEST_RECORD_KIND)
-                .map(|r| r.key)
-                .collect()
+                .iter()
+                .filter(|r| r.kind == STAGE_RECORD_KIND)
+                .count()
         };
 
-        // a complete journal locates the harvest records among the appends
+        // a complete journal locates the stage record among the appends
         let _ = std::fs::remove_dir_all(&dir);
         run(Arc::new(Journal::create(&dir, &manifest).unwrap())).unwrap();
         let scan = scan_file(&journal_path(&dir)).unwrap();
-        let positions: Vec<usize> = (0..scan.records.len())
-            .filter(|&i| scan.records[i].kind == HARVEST_RECORD_KIND)
-            .collect();
-        assert!(positions.len() >= 2, "harvest records: {positions:?}");
+        let position = scan
+            .records
+            .iter()
+            .position(|r| r.kind == STAGE_RECORD_KIND)
+            .expect("a stage record");
         std::fs::remove_dir_all(&dir).unwrap();
 
-        // die half way through the harvest, tearing the next frame
-        let after = positions[positions.len() / 2] as u64;
+        // die as the fit ends, tearing the stage record's frame
         let journal = Journal::create(&dir, &manifest)
             .unwrap()
-            .with_kill(KillSchedule::torn(after, 7));
+            .with_kill(KillSchedule::torn(position as u64, 7));
         assert!(run(Arc::new(journal)).is_err(), "the kill must end the run");
-        let survived = harvest_keys(&dir).len();
-        assert!(
-            0 < survived && survived < positions.len(),
-            "{survived} of {} harvest records before the kill",
-            positions.len()
-        );
+        assert_eq!(stage_frames(&dir), 0, "the torn stage frame must not scan");
 
-        // restart: recover the torn tail and resume
+        // restart: recover the torn tail, train again and finish
         let journal = Journal::open(&dir, &manifest).unwrap();
         assert!(
             journal.recovery_note().is_some(),
             "torn tail must be reported"
         );
         assert_eq!(run(Arc::new(journal)).unwrap(), expected);
-        let mut keys = harvest_keys(&dir);
-        let journaled = keys.len();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), journaled, "a harvest key was journaled twice");
-        assert_eq!(journaled, positions.len());
+        assert_eq!(stage_frames(&dir), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -144,7 +144,7 @@ pub fn run_shard_distributed(
     }
     let config_hash = distributed_config_hash(config, &policy, poison)?;
     let obs = Obs::new();
-    let (_, mut passes) = drive_shards(
+    let (_, mut passes, _) = drive_shards(
         config,
         plan,
         index..index + 1,

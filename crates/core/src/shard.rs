@@ -16,12 +16,12 @@
 //!
 //! This module holds what the stream yields — the [`ShardedOutcome`], the
 //! merge, and the [`SurveyShardSource`] that trains over the shards — and
-//! the stream's metric names. With a [`CheckpointStore`] attached the
-//! stream is crash-safe at two granularities: a completed shard replays
-//! from its one shard record, and a shard that died midway re-runs with its
-//! completed capture units (and their scene fees) replayed from their
-//! capture records, which do not depend on the shard count, so a run
-//! journaled at one shard count resumes at another.
+//! the stream's metric names. With a [`nbhd_journal::CheckpointStore`]
+//! attached the stream is crash-safe at two granularities: a completed
+//! shard replays from its one shard record, and a shard that died midway
+//! re-runs with its completed capture units (and their scene fees) replayed
+//! from their capture records, which do not depend on the shard count, so a
+//! run journaled at one shard count resumes at another.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,7 +29,6 @@ use std::sync::Arc;
 use nbhd_detect::{Detector, DetectorConfig, ShardData, ShardSource, TrainConfig, Trainer};
 use nbhd_geo::{ShardPlan, SurveyPoint, SurveySample};
 use nbhd_gsv::StreetViewService;
-use nbhd_journal::CheckpointStore;
 use nbhd_obs::Obs;
 use nbhd_types::{ImageId, ImageLabels, Result};
 
@@ -60,7 +59,6 @@ pub struct ShardedOutcome {
     pub(crate) survey: SurveyDataset,
     pub(crate) sample: SurveySample,
     pub(crate) plan: ShardPlan,
-    pub(crate) store: Option<Arc<dyn CheckpointStore>>,
     pub(crate) obs: Option<Obs>,
     pub(crate) peak_resident_scenes: usize,
     pub(crate) shard_images: Vec<usize>,
@@ -140,7 +138,7 @@ impl ShardedOutcome {
     ///
     /// # Errors
     ///
-    /// Propagates training and store failures.
+    /// Propagates training failures.
     pub fn train_sharded(&self, train: TrainConfig, detector: DetectorConfig) -> Result<Detector> {
         let mut trainer = Trainer::new(train, detector);
         if let Some(obs) = &self.obs {
@@ -155,7 +153,7 @@ impl ShardedOutcome {
         let source = self.shard_source();
         let split = self.survey.dataset().split();
         let size = self.survey.dataset().image_size();
-        trainer.fit_sharded(split, size, &source, self.store.as_deref())
+        trainer.fit_sharded(split, size, &source)
     }
 }
 
@@ -224,7 +222,7 @@ impl ShardSource for SurveyShardSource {
 mod tests {
     use super::*;
     use crate::{run_supervised, SupervisePolicy, SurveyConfig, SurveyPipeline};
-    use nbhd_journal::MemoryStore;
+    use nbhd_journal::{CheckpointStore, MemoryStore};
 
     /// The plain stream: default policy, no poison.
     fn stream(

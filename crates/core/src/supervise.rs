@@ -40,7 +40,7 @@ use std::time::Instant;
 use nbhd_annotate::{HumanLabeler, LabeledDataset};
 use nbhd_exec::{panic_message, ScopedPool};
 use nbhd_geo::{ShardPlan, SurveySample};
-use nbhd_gsv::{ImageRequest, PoisonSchedule, StreetViewService};
+use nbhd_gsv::{journaled_scenes, ImageRequest, PoisonSchedule, StreetViewService};
 use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_obs::{MetricsRegistry, Obs, VirtualClock};
 use nbhd_types::rng::child_seed;
@@ -618,7 +618,7 @@ pub fn run_supervised(
     store: Option<Arc<dyn CheckpointStore>>,
     obs: Option<&Obs>,
 ) -> Result<ShardedOutcome> {
-    let (sample, passes) = drive_shards(
+    let (sample, passes, paid) = drive_shards(
         config,
         plan,
         0..plan.shards(),
@@ -635,13 +635,13 @@ pub fn run_supervised(
     let shard_images = passes.iter().map(|p| p.annotations.len()).collect();
 
     // The post-merge service is clean (quarantined locations are excluded
-    // from the dataset, never re-fetched) and is the run's ledger: a
-    // billing store restores every journaled fee, including fees for units
-    // of locations later quarantined, and each shard hands over the scenes
-    // it billed fresh and the traffic it counted.
+    // from the dataset, never re-fetched) and is the run's ledger: it
+    // restores every fee journaled before this process began, including
+    // fees for units of locations later quarantined, and each shard hands
+    // over the scenes it billed fresh and the traffic it counted.
     let mut service = StreetViewService::new(config.seed, sample.points());
     if let Some(store) = &store {
-        service = service.with_billing_store(Arc::clone(store))?;
+        service = service.with_billing_store(Arc::clone(store), paid);
     }
     let mut batches = Vec::with_capacity(passes.len());
     let mut coverages = Vec::with_capacity(passes.len());
@@ -667,12 +667,14 @@ pub fn run_supervised(
         survey,
         sample,
         plan,
-        store,
         obs: obs.cloned(),
         peak_resident_scenes: peak,
         shard_images,
     })
 }
+
+/// Billing keys `(ImageId, size)` of scenes, as a service bills them.
+type Scenes = Vec<(ImageId, u32)>;
 
 /// What one shard pass produced.
 pub(crate) struct ShardPass {
@@ -681,7 +683,7 @@ pub(crate) struct ShardPass {
     /// The shard service's scene high-water mark.
     pub(crate) peak_resident_scenes: usize,
     /// Scenes billed fresh by this process, in billing order.
-    pub(crate) billed: Vec<(ImageId, u32)>,
+    pub(crate) billed: Scenes,
     /// Requests the shard service counted in this process.
     pub(crate) requests: u64,
     /// Cache hits the shard service counted in this process.
@@ -692,9 +694,12 @@ pub(crate) struct ShardPass {
 
 /// The one shard loop behind [`run_supervised`] (every shard) and
 /// [`crate::run_shard_distributed`] (one shard in its own process).
-/// Validates the config and policy, draws the sample, and builds the
-/// labeler, pool and watchdog clock once; then runs each shard in `shards`
-/// under its `shard-{i}` span with one wall-time sample per shard.
+/// Validates the config and policy, draws the sample, decodes the store's
+/// journaled fees, and builds the labeler, pool and watchdog clock once;
+/// then runs each shard in `shards` under its `shard-{i}` span with one
+/// wall-time sample per shard, its service prepaid with the journaled
+/// scenes of its own locations. Returns the sample, the passes and every
+/// journaled scene.
 pub(crate) fn drive_shards(
     config: &SurveyConfig,
     plan: ShardPlan,
@@ -703,7 +708,7 @@ pub(crate) fn drive_shards(
     poison: Option<PoisonSchedule>,
     store: Option<&Arc<dyn CheckpointStore>>,
     obs: Option<&Obs>,
-) -> Result<(SurveySample, Vec<ShardPass>)> {
+) -> Result<(SurveySample, Vec<ShardPass>, Scenes)> {
     config.validate()?;
     policy.validate()?;
     let sample = SurveySample::draw_regions(
@@ -720,13 +725,22 @@ pub(crate) fn drive_shards(
     let clock: Arc<VirtualClock> = obs
         .map(|o| Arc::clone(o.clock()))
         .unwrap_or_else(|| Arc::new(VirtualClock::new()));
+    let paid = match store {
+        Some(store) => journaled_scenes(store.as_ref())?,
+        None => Vec::new(),
+    };
 
     let mut passes = Vec::with_capacity(shards.len());
     for shard in shards {
         let started = Instant::now();
         let stage = obs.map(|o| o.tracer().enter(&format!("shard-{shard}")));
+        let own: Scenes = paid
+            .iter()
+            .copied()
+            .filter(|(id, _)| plan.assign(id.location) == shard)
+            .collect();
         passes.push(run_shard_supervised(
-            config, &sample, plan, shard, policy, poison, &labeler, &pool, &clock, store,
+            config, &sample, plan, shard, policy, poison, &labeler, &pool, &clock, store, own,
         )?);
         if let Some(stage) = stage {
             stage.record();
@@ -736,7 +750,7 @@ pub(crate) fn drive_shards(
                 .record_wall_hist(SHARD_WALL_MS_HIST, started.elapsed().as_millis() as u64);
         }
     }
-    Ok((sample, passes))
+    Ok((sample, passes, paid))
 }
 
 /// Publishes a shard run's metrics: the shard count, quarantine, cause and
@@ -779,7 +793,7 @@ pub(crate) fn publish(
 
 /// One supervised shard pass: the shard's merged-in annotations, its
 /// service's scene high-water mark, freshly billed scenes, and its coverage
-/// facts.
+/// facts. `paid` holds the journaled scenes of the shard's locations.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_supervised(
     config: &SurveyConfig,
@@ -792,6 +806,7 @@ fn run_shard_supervised(
     pool: &ScopedPool,
     clock: &Arc<VirtualClock>,
     store: Option<&Arc<dyn CheckpointStore>>,
+    paid: Scenes,
 ) -> Result<ShardPass> {
     let key = format!("{shard}of{}", plan.shards());
     if let Some(store) = store {
@@ -817,7 +832,7 @@ fn run_shard_supervised(
         service = service.with_poison(schedule);
     }
     if let Some(store) = store {
-        service = service.with_billing_store(Arc::clone(store))?;
+        service = service.with_billing_store(Arc::clone(store), paid);
     }
     let planned = service.covered_locations();
     let planned_set: HashSet<LocationId> = planned.iter().copied().collect();
@@ -1225,6 +1240,91 @@ mod tests {
             outcome.survey().dataset().images().len(),
             report.completed_locations() * Heading::ALL.len(),
             "dataset still builds from the partial captures"
+        );
+    }
+
+    /// A store that counts how often the fee kind is decoded.
+    #[derive(Debug, Default)]
+    struct CountingStore {
+        inner: MemoryStore,
+        fee_decodes: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CheckpointStore for CountingStore {
+        fn load(&self, kind: &str, key: &str) -> Option<serde_json::Value> {
+            self.inner.load(kind, key)
+        }
+
+        fn load_kind(&self, kind: &str) -> Vec<(String, serde_json::Value)> {
+            if kind == nbhd_gsv::FEE_RECORD_KIND {
+                self.fee_decodes
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            self.inner.load_kind(kind)
+        }
+
+        fn save(
+            &self,
+            kind: &str,
+            key: &str,
+            payload: serde_json::Value,
+        ) -> std::result::Result<(), nbhd_journal::JournalError> {
+            self.inner.save(kind, key, payload)
+        }
+    }
+
+    #[test]
+    fn a_journaled_run_decodes_its_fees_once_at_any_shard_state() {
+        let config = SurveyConfig::smoke(65);
+        let plan = ShardPlan::new(4).unwrap();
+        let run = |store: &Arc<CountingStore>| {
+            let outcome = run_supervised(
+                &config,
+                plan,
+                SupervisePolicy::default(),
+                None,
+                Some(Arc::clone(store) as Arc<dyn CheckpointStore>),
+                None,
+            )
+            .unwrap();
+            let decodes = store
+                .fee_decodes
+                .swap(0, std::sync::atomic::Ordering::Relaxed);
+            (outcome, decodes)
+        };
+        let usage = |outcome: &ShardedOutcome| {
+            let usage = outcome.survey().imagery_usage();
+            (usage.billed_images, usage.fees_usd.to_bits())
+        };
+
+        // fresh: every shard runs and bills
+        let store = Arc::new(CountingStore::default());
+        let (fresh, decodes) = run(&store);
+        assert_eq!(decodes, 1, "a fresh run");
+        assert!(usage(&fresh).0 > 0);
+
+        // resumed with every shard complete: every shard replays whole
+        let (replayed, decodes) = run(&store);
+        assert_eq!(decodes, 1, "a run whose shards all replay");
+        assert_eq!(usage(&replayed), usage(&fresh));
+
+        // resumed with fees and captures but no shard record: every shard
+        // runs again with its own scenes prepaid and bills nothing new
+        let partial = Arc::new(CountingStore::default());
+        for kind in [nbhd_gsv::FEE_RECORD_KIND, CAPTURE_RECORD_KIND] {
+            for (key, payload) in store.inner.load_kind(kind) {
+                partial.inner.save(kind, &key, payload).unwrap();
+            }
+        }
+        let fees = partial.inner.load_kind(nbhd_gsv::FEE_RECORD_KIND).len();
+        let (rerun, decodes) = run(&partial);
+        assert_eq!(decodes, 1, "a run whose shards all run again");
+        assert_eq!(usage(&rerun), usage(&fresh));
+        assert_eq!(rerun.survey().dataset(), fresh.survey().dataset());
+        assert_eq!(
+            partial.inner.load_kind(nbhd_gsv::FEE_RECORD_KIND).len(),
+            fees,
+            "a prepaid scene is never billed again"
         );
     }
 

@@ -69,6 +69,6 @@ pub use nms::{nms, Detection};
 pub use nbhd_exec::{par_map, Parallelism};
 pub use scene_baseline::{whole_image_feature, SceneClassifier};
 pub use train::{
-    HarvestRecord, ImageProvider, ShardData, ShardSource, TrainConfig, Trainer,
-    HARVEST_RECORD_KIND, SCAN_EXACT_METRIC, SCAN_WINDOWS_METRIC,
+    ImageProvider, ShardData, ShardSource, TrainConfig, Trainer, SCAN_EXACT_METRIC,
+    SCAN_WINDOWS_METRIC,
 };

@@ -9,7 +9,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use nbhd_annotate::{DatasetSplit, LabeledDataset};
-use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_obs::Obs;
 use nbhd_raster::RasterImage;
 use nbhd_types::rng::{child_seed, child_seed_n, rng_from};
@@ -17,19 +16,12 @@ use nbhd_types::{BBox, Error, ImageId, ImageLabels, Indicator, IndicatorMap, Res
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use nbhd_exec::{Parallelism, ScopedPool};
 
 use crate::detector::{ScanCount, ScanPlan};
 use crate::eval::scored_matches_on;
 use crate::{AnchorRun, AnchorWindow, ClassScorer, Detector, DetectorConfig, IntegralChannels};
-
-/// Journal record kind for per-image harvests, keyed by image id. A record
-/// holds the image's harvested windows as `(class, mixture component,
-/// window, label)` tuples in harvest order, not their features: replay
-/// recomputes each feature from the image's integral channels.
-pub const HARVEST_RECORD_KIND: &str = "harvest";
 
 /// Counter of the windows a fit's mining and calibration scans covered.
 pub const SCAN_WINDOWS_METRIC: &str = "detect.scan.windows";
@@ -83,33 +75,8 @@ impl Default for TrainConfig {
     }
 }
 
-/// One image's harvested windows: `(class, mixture component, window,
-/// label)` tuples, in harvest order. This is a harvest record's payload.
-type Windows = Vec<(Indicator, usize, BBox, f32)>;
-
-/// A [`HARVEST_RECORD_KIND`] record: one image's [`Windows`], keyed by its
-/// image id's [`ImageId::key`]. Every box and label must be finite; that a
-/// template index names one of the detector's templates is checked where
-/// the record replays, since only the detector knows its templates.
-#[derive(Debug, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct HarvestRecord(Windows);
-
-impl Replayable for HarvestRecord {
-    const KIND: &'static str = HARVEST_RECORD_KIND;
-
-    fn validate(&self, _key: &str) -> std::result::Result<(), String> {
-        for (i, (_, _, b, label)) in self.0.iter().enumerate() {
-            if ![b.x, b.y, b.w, b.h, *label].iter().all(|v| v.is_finite()) {
-                return Err(format!("window {i}: non-finite box or label"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One image's harvested window examples: [`Windows`] with each window
-/// replaced by its feature.
+/// One image's harvested window examples: `(class, mixture component,
+/// feature, label)` tuples, in harvest order.
 type Examples = Vec<(Indicator, usize, Vec<f32>, f32)>;
 
 /// One shard of a streamed training set: the annotations for every image
@@ -225,29 +192,7 @@ impl Trainer {
         provider: &P,
     ) -> Result<Detector> {
         let source = OneShard { dataset, provider };
-        self.fit_sharded(dataset.split(), dataset.image_size(), &source, None)
-    }
-
-    /// [`Trainer::fit`] with harvest checkpointing: each image's harvested
-    /// windows are journaled as one [`HARVEST_RECORD_KIND`] record, so a
-    /// crashed training run resumes without redoing completed harvests.
-    /// The record holds the windows, not their features: fresh and
-    /// replayed images alike fetch pixels, rebuild integral channels and
-    /// featurize every window from them, so the pools are bit-identical
-    /// either way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates provider and store failures; returns [`Error::Config`]
-    /// when the train split is empty.
-    pub fn fit_checkpointed<P: ImageProvider + Sync>(
-        &self,
-        dataset: &LabeledDataset,
-        provider: &P,
-        store: &dyn CheckpointStore,
-    ) -> Result<Detector> {
-        let source = OneShard { dataset, provider };
-        self.fit_sharded(dataset.split(), dataset.image_size(), &source, Some(store))
+        self.fit_sharded(dataset.split(), dataset.image_size(), &source)
     }
 
     /// Trains over a sharded stream: the training set is consumed one
@@ -263,13 +208,9 @@ impl Trainer {
     /// multiset-invariant, so neither shard count nor shard arrival order
     /// can reach the weights.
     ///
-    /// With a `store`, each image's harvest is journaled as
-    /// [`Trainer::fit_checkpointed`] journals it, so a run journaled on one
-    /// shard count resumes on any other.
-    ///
     /// # Errors
     ///
-    /// Propagates shard-source and store failures; returns
+    /// Propagates shard-source failures; returns
     /// [`Error::Config`] when the train split is empty or a split image
     /// appears in no shard.
     pub fn fit_sharded<S: ShardSource>(
@@ -277,7 +218,6 @@ impl Trainer {
         split: &DatasetSplit,
         image_size: u32,
         source: &S,
-        store: Option<&dyn CheckpointStore>,
     ) -> Result<Detector> {
         let train_ids = &split.train;
         if train_ids.is_empty() {
@@ -299,7 +239,7 @@ impl Trainer {
         let harvested = map_train(&pool, train_ids, source, |id, labels, provider| {
             let img = provider.image(id)?;
             let integral = detector.integral(&img);
-            self.harvest_or_replay(&detector, labels, &integral, img.width(), id, store)
+            Ok(self.harvest_image(&detector, labels, &integral, img.width(), id))
         })?;
         let mut pools: IndicatorMap<Vec<ClassPool>> = IndicatorMap::from_fn(|i| {
             (0..detector.anchors[i].templates.len())
@@ -400,59 +340,20 @@ impl Trainer {
         Ok(detector)
     }
 
-    /// One image's harvest: load the journaled windows when the store has
-    /// them, otherwise harvest fresh (from a seed keyed by the image id)
-    /// and journal the windows — save-before-act. Either way every window
-    /// is then featurized on `integral`. Keyed by image id alone, so a
-    /// record replays the same at any shard count.
-    fn harvest_or_replay(
+    /// Harvests one image's positive and negative windows and featurizes
+    /// each on `integral`. Every random draw comes from a seed keyed by the
+    /// image id, so the result depends only on `(config, detector anchors,
+    /// labels, pixels)`, whatever the shard or worker that harvests it.
+    fn harvest_image(
         &self,
         detector: &Detector,
         labels: &ImageLabels,
         integral: &IntegralChannels,
         size: u32,
         id: ImageId,
-        store: Option<&dyn CheckpointStore>,
-    ) -> Result<Examples> {
-        // save-before-act: the harvest record is durable before any of its
-        // examples reach a training pool
-        let HarvestRecord(windows) = nbhd_journal::replay_or(store, id.key(), || {
-            Ok(HarvestRecord(
-                self.harvest_image(detector, labels, size, id),
-            ))
-        })?;
-        // only the detector knows its template counts
-        for (i, &(ind, template, ..)) in windows.iter().enumerate() {
-            let templates = detector.anchors[ind].templates.len();
-            if template >= templates {
-                return Err(HarvestRecord::invalid(
-                    id.key(),
-                    format!(
-                        "window {i}: template {template} of {ind} is out of range 0..{templates}"
-                    ),
-                ));
-            }
-        }
-        Ok(windows
-            .into_iter()
-            .map(|(ind, template, window, label)| {
-                (ind, template, integral.window_feature(window), label)
-            })
-            .collect())
-    }
-
-    /// Harvests one image's positive and negative windows. Every random
-    /// draw comes from a seed keyed by the image id, so the result depends
-    /// only on `(config, detector anchors, labels)`.
-    fn harvest_image(
-        &self,
-        detector: &Detector,
-        labels: &ImageLabels,
-        size: u32,
-        id: ImageId,
-    ) -> Windows {
+    ) -> Examples {
         let mut rng = rng_from(child_seed_n(self.train.seed, "harvest", id.key()));
-        let mut windows: Windows = Vec::new();
+        let mut windows: Vec<(Indicator, usize, BBox, f32)> = Vec::new();
         for ind in Indicator::ALL {
             let gt: Vec<BBox> = labels.of_class(ind).map(|o| o.bbox).collect();
             // positives: snapped anchors + jitter
@@ -497,6 +398,11 @@ impl Trainer {
             }
         }
         windows
+            .into_iter()
+            .map(|(ind, template, window, label)| {
+                (ind, template, integral.window_feature(window), label)
+            })
+            .collect()
     }
 
     /// Mines one image's confident false positives against the current
@@ -859,35 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_fit_matches_plain_fit_and_replays() {
-        use nbhd_journal::MemoryStore;
-        let (ds, images) = small_dataset(20, 96);
-        let trainer = Trainer::new(
-            TrainConfig {
-                epochs: 3,
-                hard_negative_rounds: 1,
-                ..TrainConfig::default()
-            },
-            DetectorConfig::default(),
-        );
-        let p = provider(images);
-        let plain = trainer.fit(&ds, &p).unwrap();
-
-        let store = MemoryStore::new();
-        let first = trainer.fit_checkpointed(&ds, &p, &store).unwrap();
-        assert_same_bits(&plain, &first, "journaling must not change the weights");
-        assert_eq!(
-            store.load_kind(HARVEST_RECORD_KIND).len(),
-            ds.split().train.len()
-        );
-
-        // a "restarted" training run replays every harvest record and still
-        // lands on identical weights
-        let resumed = trainer.fit_checkpointed(&ds, &p, &store).unwrap();
-        assert_same_bits(&plain, &resumed, "a resumed fit");
-    }
-
-    #[test]
     fn obs_records_stage_spans_and_exec_counters_without_changing_weights() {
         let (ds, images) = small_dataset(20, 96);
         let trainer = Trainer::new(
@@ -1172,34 +1049,9 @@ mod tests {
         for n in [1usize, 3] {
             let source = shard_source(&ds, &images, n);
             let sharded = trainer
-                .fit_sharded(ds.split(), ds.image_size(), &source, None)
+                .fit_sharded(ds.split(), ds.image_size(), &source)
                 .unwrap();
             assert_eq!(plain, sharded, "{n} shards must not change the weights");
-        }
-    }
-
-    #[test]
-    fn sharded_fit_replays_harvest_chunks_journaled_by_plain_fit() {
-        use nbhd_journal::MemoryStore;
-        let (ds, images) = small_dataset(20, 96);
-        let trainer = small_trainer();
-        let p = provider(images.clone());
-        let store = MemoryStore::new();
-        let plain = trainer.fit_checkpointed(&ds, &p, &store).unwrap();
-
-        // the sharded path replays every journaled record (same record kind
-        // and key), so an unsharded run's journal resumes a sharded run
-        for n in [1usize, 3] {
-            let source = shard_source(&ds, &images, n);
-            let sharded = trainer
-                .fit_sharded(ds.split(), ds.image_size(), &source, Some(&store))
-                .unwrap();
-            assert_same_bits(&plain, &sharded, &format!("{n} shards replaying"));
-            assert_eq!(
-                store.load_kind(HARVEST_RECORD_KIND).len(),
-                ds.split().train.len(),
-                "replay must not duplicate harvest records"
-            );
         }
     }
 
@@ -1213,7 +1065,7 @@ mod tests {
             imgs.remove(&victim);
         }
         let err = small_trainer()
-            .fit_sharded(ds.split(), ds.image_size(), &source, None)
+            .fit_sharded(ds.split(), ds.image_size(), &source)
             .unwrap_err();
         assert!(
             err.to_string().contains("missing from every shard"),
@@ -1234,7 +1086,7 @@ mod tests {
         let errors = [
             trainer.fit(&ds, &provider(images)).unwrap_err(),
             trainer
-                .fit_sharded(ds.split(), ds.image_size(), &source, None)
+                .fit_sharded(ds.split(), ds.image_size(), &source)
                 .unwrap_err(),
         ];
         for err in errors {
@@ -1243,92 +1095,6 @@ mod tests {
                 "unexpected error: {err}"
             );
         }
-    }
-
-    /// Asserts that `fit_checkpointed` fails with
-    /// `Error::Parse("harvest record {key}: {expected}...")` when the store
-    /// holds `record` as the first train image's harvest.
-    fn assert_replay_is_a_parse_error(record: serde_json::Value, expected: &str) {
-        use nbhd_journal::MemoryStore;
-        let (ds, images) = small_dataset(20, 96);
-        let victim = ds.split().train[0];
-        let store = MemoryStore::new();
-        store
-            .save(HARVEST_RECORD_KIND, &victim.key().to_string(), record)
-            .unwrap();
-        let err = small_trainer()
-            .fit_checkpointed(&ds, &provider(images), &store)
-            .unwrap_err();
-        let prefix = format!("harvest record {}: {expected}", victim.key());
-        assert!(
-            matches!(&err, Error::Parse(m) if m.starts_with(&prefix)),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn a_malformed_harvest_record_is_a_parse_error() {
-        assert_replay_is_a_parse_error(serde_json::Value::String("not a harvest".to_owned()), "");
-    }
-
-    #[test]
-    fn hostile_replayed_windows_are_parse_errors_not_panics() {
-        let good = r#"["Streetlight", 0, {"x": 8.0, "y": 8.0, "w": 16.0, "h": 32.0}, 1.0]"#;
-        for (bad, expected) in [
-            (
-                r#"["Streetlight", 99, {"x": 8.0, "y": 8.0, "w": 16.0, "h": 32.0}, 1.0]"#,
-                "window 1: template 99 of Streetlight is out of range",
-            ),
-            (
-                r#"["Sidewalk", 0, {"x": 1e300, "y": 8.0, "w": 16.0, "h": 32.0}, 0.0]"#,
-                "window 1: non-finite",
-            ),
-            (
-                r#"["Sidewalk", 0, {"x": 8.0, "y": 8.0, "w": 16.0, "h": 32.0}, -1e300]"#,
-                "window 1: non-finite",
-            ),
-        ] {
-            let record = serde_json::from_str(&format!("[{good}, {bad}]")).unwrap();
-            assert_replay_is_a_parse_error(record, expected);
-        }
-    }
-
-    #[test]
-    fn an_old_feature_vector_harvest_record_is_a_parse_error() {
-        let old = vec![(
-            Indicator::Streetlight,
-            0usize,
-            vec![0.5f32; crate::FEATURE_DIM],
-            1.0f32,
-        )];
-        assert_replay_is_a_parse_error(serde_json::to_value(&old).unwrap(), "");
-    }
-
-    #[test]
-    fn harvest_records_hold_windows_not_features() {
-        use nbhd_journal::MemoryStore;
-        let (ds, images) = small_dataset(20, 96);
-        let trainer = small_trainer();
-        let store = MemoryStore::new();
-        trainer
-            .fit_checkpointed(&ds, &provider(images), &store)
-            .unwrap();
-        let records = store.load_kind(HARVEST_RECORD_KIND);
-        assert_eq!(records.len(), ds.split().train.len());
-        let (mut windows, mut bytes) = (0usize, 0usize);
-        for (key, value) in records {
-            bytes += serde_json::to_string(&value).unwrap().len();
-            let decoded: Windows = serde_json::from_value(value)
-                .unwrap_or_else(|e| panic!("record {key} is not a list of windows: {e}"));
-            windows += decoded.len();
-        }
-        assert!(windows > 0);
-        // a 324-float feature takes kilobytes; a window takes a few dozen
-        // bytes, so a feature vector cannot creep back into the record
-        assert!(
-            bytes <= 128 * windows,
-            "{bytes} bytes of JSON for {windows} windows"
-        );
     }
 
     #[test]

@@ -6,23 +6,8 @@
 //! sequential loop over the same per-resample seeds).
 
 use nbhd_exec::ScopedPool;
-use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_types::rng::{child_seed, rng_from};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// Journal record kind for completed bootstrap resamples.
-pub const RESAMPLE_RECORD_KIND: &str = "resample";
-
-/// A [`RESAMPLE_RECORD_KIND`] record: one resample's mean, keyed by the
-/// resample's index. Any number is a mean, so it has no range rule.
-#[derive(Debug, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct ResampleRecord(f64);
-
-impl Replayable for ResampleRecord {
-    const KIND: &'static str = RESAMPLE_RECORD_KIND;
-}
 
 /// A two-sided bootstrap confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +21,12 @@ pub struct ConfidenceInterval {
 }
 
 /// Bootstraps a confidence interval for the mean of `values` (e.g. per-image
-/// correctness indicators) at the given confidence `level` (e.g. 0.95).
+/// correctness indicators) at the given confidence `level` (e.g. 0.95),
+/// fanning the resamples out on `pool`. Each resample draws from its own
+/// `(seed, index)` RNG, so the interval is identical at any pool setting;
+/// when the pool carries a run-scoped metrics registry, its execution
+/// counters land there. Nothing is journaled: a resample is cheaper to
+/// redraw than to read back.
 ///
 /// # Panics
 ///
@@ -47,8 +37,9 @@ pub struct ConfidenceInterval {
 ///
 /// ```
 /// use nbhd_eval::bootstrap_mean;
+/// use nbhd_exec::ScopedPool;
 /// let correct: Vec<f64> = (0..200).map(|i| if i % 5 == 0 { 0.0 } else { 1.0 }).collect();
-/// let ci = bootstrap_mean(&correct, 500, 0.95, 42);
+/// let ci = bootstrap_mean(&correct, 500, 0.95, 42, &ScopedPool::default());
 /// assert!((ci.estimate - 0.8).abs() < 1e-9);
 /// assert!(ci.lo < 0.8 && 0.8 < ci.hi);
 /// assert!(ci.hi - ci.lo < 0.2);
@@ -58,6 +49,7 @@ pub fn bootstrap_mean(
     resamples: usize,
     level: f64,
     seed: u64,
+    pool: &ScopedPool,
 ) -> ConfidenceInterval {
     assert!(!values.is_empty(), "bootstrap requires observations");
     assert!(resamples > 0, "bootstrap requires at least one resample");
@@ -67,59 +59,17 @@ pub fn bootstrap_mean(
     );
     let root = child_seed(seed, "bootstrap");
     let order: Vec<u64> = (0..resamples as u64).collect();
-    let means = nbhd_exec::par_map(&order, |&resample| resample_mean(values, root, resample));
-    assemble_interval(values, means, resamples, level)
-}
-
-/// [`bootstrap_mean`] with per-resample checkpointing, riding a
-/// caller-supplied [`ScopedPool`]: each resample's mean is journaled under
-/// its index, so a resumed run replays completed resamples instead of
-/// redrawing them. The interval is identical to an uninterrupted
-/// [`bootstrap_mean`] — replayed means roundtrip through JSON bit-exactly,
-/// and each resample's RNG depends only on `(seed, index)` — and identical
-/// at any pool setting. When the pool carries a run-scoped metrics
-/// registry, its execution counters land there.
-///
-/// # Errors
-///
-/// Returns an error when the store fails to persist a resample or holds a
-/// malformed resample record.
-///
-/// # Panics
-///
-/// Same input contract as [`bootstrap_mean`].
-pub fn bootstrap_mean_pooled(
-    values: &[f64],
-    resamples: usize,
-    level: f64,
-    seed: u64,
-    store: &dyn CheckpointStore,
-    pool: &ScopedPool,
-) -> nbhd_types::Result<ConfidenceInterval> {
-    assert!(!values.is_empty(), "bootstrap requires observations");
-    assert!(resamples > 0, "bootstrap requires at least one resample");
-    assert!(
-        (0.0..1.0).contains(&level) && level > 0.0,
-        "level must be in (0, 1)"
-    );
-    let root = child_seed(seed, "bootstrap");
-    let order: Vec<u64> = (0..resamples as u64).collect();
-    let drawn = pool.map(&order, |&resample| -> nbhd_types::Result<_> {
-        let replayed = nbhd_journal::load(store, &resample.to_string())?;
-        Ok(match replayed {
-            Some(ResampleRecord(mean)) => (mean, true),
-            None => (resample_mean(values, root, resample), false),
-        })
-    });
-    let mut means = Vec::with_capacity(resamples);
-    for (resample, item) in order.iter().zip(drawn) {
-        let (mean, replayed) = item?;
-        if !replayed {
-            nbhd_journal::save(store, &resample.to_string(), &ResampleRecord(mean))?;
-        }
-        means.push(mean);
+    let mut means = pool.map(&order, |&resample| resample_mean(values, root, resample));
+    let estimate = values.iter().sum::<f64>() / values.len() as f64;
+    means.sort_by(|a, b| a.partial_cmp(b).expect("finite means"));
+    let alpha = (1.0 - level) / 2.0;
+    let lo_idx = ((resamples as f64 * alpha) as usize).min(resamples - 1);
+    let hi_idx = ((resamples as f64 * (1.0 - alpha)) as usize).min(resamples - 1);
+    ConfidenceInterval {
+        estimate,
+        lo: means[lo_idx],
+        hi: means[hi_idx],
     }
-    Ok(assemble_interval(values, means, resamples, level))
 }
 
 /// One bootstrap resample's mean, drawn from its own `(root, index)` seed.
@@ -133,25 +83,6 @@ fn resample_mean(values: &[f64], root: u64, resample: u64) -> f64 {
     sum / n as f64
 }
 
-/// Sorts the resample means into the percentile interval.
-fn assemble_interval(
-    values: &[f64],
-    mut means: Vec<f64>,
-    resamples: usize,
-    level: f64,
-) -> ConfidenceInterval {
-    let estimate = values.iter().sum::<f64>() / values.len() as f64;
-    means.sort_by(|a, b| a.partial_cmp(b).expect("finite means"));
-    let alpha = (1.0 - level) / 2.0;
-    let lo_idx = ((resamples as f64 * alpha) as usize).min(resamples - 1);
-    let hi_idx = ((resamples as f64 * (1.0 - alpha)) as usize).min(resamples - 1);
-    ConfidenceInterval {
-        estimate,
-        lo: means[lo_idx],
-        hi: means[hi_idx],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,14 +90,14 @@ mod tests {
     #[test]
     fn interval_contains_estimate() {
         let vals: Vec<f64> = (0..100).map(|i| (i % 2) as f64).collect();
-        let ci = bootstrap_mean(&vals, 300, 0.9, 1);
+        let ci = bootstrap_mean(&vals, 300, 0.9, 1, &ScopedPool::default());
         assert!(ci.lo <= ci.estimate && ci.estimate <= ci.hi);
     }
 
     #[test]
     fn constant_values_give_degenerate_interval() {
         let vals = vec![0.7; 50];
-        let ci = bootstrap_mean(&vals, 200, 0.95, 2);
+        let ci = bootstrap_mean(&vals, 200, 0.95, 2, &ScopedPool::default());
         assert!((ci.lo - 0.7).abs() < 1e-12);
         assert!((ci.hi - 0.7).abs() < 1e-12);
     }
@@ -175,71 +106,51 @@ mod tests {
     fn more_data_narrows_the_interval() {
         let small: Vec<f64> = (0..30).map(|i| ((i * 7) % 10) as f64 / 10.0).collect();
         let big: Vec<f64> = (0..3000).map(|i| ((i * 7) % 10) as f64 / 10.0).collect();
-        let ci_small = bootstrap_mean(&small, 400, 0.95, 3);
-        let ci_big = bootstrap_mean(&big, 400, 0.95, 3);
+        let ci_small = bootstrap_mean(&small, 400, 0.95, 3, &ScopedPool::default());
+        let ci_big = bootstrap_mean(&big, 400, 0.95, 3, &ScopedPool::default());
         assert!(ci_big.hi - ci_big.lo < ci_small.hi - ci_small.lo);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let vals: Vec<f64> = (0..64).map(|i| (i % 3) as f64).collect();
-        let a = bootstrap_mean(&vals, 100, 0.95, 9);
-        let b = bootstrap_mean(&vals, 100, 0.95, 9);
+        let a = bootstrap_mean(&vals, 100, 0.95, 9, &ScopedPool::default());
+        let b = bootstrap_mean(&vals, 100, 0.95, 9, &ScopedPool::default());
         assert_eq!(a, b);
     }
 
     #[test]
     #[should_panic(expected = "observations")]
     fn empty_input_panics() {
-        let _ = bootstrap_mean(&[], 10, 0.95, 1);
+        let _ = bootstrap_mean(&[], 10, 0.95, 1, &ScopedPool::default());
     }
 
     #[test]
-    fn pooled_bootstrap_matches_and_records_exec_counters() {
+    fn interval_is_bit_identical_at_one_and_four_workers_and_counts_its_tasks() {
         use nbhd_exec::Parallelism;
-        use nbhd_journal::MemoryStore;
         use nbhd_obs::MetricsRegistry;
         use std::sync::Arc;
         let vals: Vec<f64> = (0..80).map(|i| ((i * 13) % 7) as f64 / 7.0).collect();
-        let plain = bootstrap_mean(&vals, 120, 0.95, 17);
+        let serial = bootstrap_mean(
+            &vals,
+            120,
+            0.95,
+            17,
+            &ScopedPool::new(Parallelism::serial()),
+        );
         let registry = Arc::new(MetricsRegistry::new());
         let pool = ScopedPool::new(Parallelism::fixed(4)).with_metrics(Arc::clone(&registry));
-        let store = MemoryStore::new();
-        let pooled = bootstrap_mean_pooled(&vals, 120, 0.95, 17, &store, &pool).unwrap();
-        assert_eq!(plain, pooled, "pool choice must not change the interval");
+        let pooled = bootstrap_mean(&vals, 120, 0.95, 17, &pool);
+        let bits = |ci: ConfidenceInterval| [ci.estimate, ci.lo, ci.hi].map(f64::to_bits);
+        assert_eq!(
+            bits(serial),
+            bits(pooled),
+            "workers must not change the interval"
+        );
         assert_eq!(
             registry.snapshot().counters[nbhd_exec::TASKS_METRIC],
             120,
             "one task per resample"
         );
-    }
-
-    #[test]
-    fn checkpointed_interval_is_identical_and_replays() {
-        use nbhd_journal::MemoryStore;
-        let vals: Vec<f64> = (0..80).map(|i| ((i * 13) % 7) as f64 / 7.0).collect();
-        let plain = bootstrap_mean(&vals, 120, 0.95, 17);
-
-        let store = MemoryStore::new();
-        let first =
-            bootstrap_mean_pooled(&vals, 120, 0.95, 17, &store, &ScopedPool::default()).unwrap();
-        assert_eq!(plain, first, "journaling must not change the interval");
-        assert_eq!(store.load_kind(RESAMPLE_RECORD_KIND).len(), 120);
-
-        // a "restarted" run replays every resample — and a half-journaled
-        // store (simulating a crash mid-bootstrap) completes to the same
-        // interval
-        let resumed =
-            bootstrap_mean_pooled(&vals, 120, 0.95, 17, &store, &ScopedPool::default()).unwrap();
-        assert_eq!(plain, resumed);
-
-        let partial = MemoryStore::new();
-        for (key, value) in store.load_kind(RESAMPLE_RECORD_KIND).into_iter().take(50) {
-            partial.save(RESAMPLE_RECORD_KIND, &key, value).unwrap();
-        }
-        let completed =
-            bootstrap_mean_pooled(&vals, 120, 0.95, 17, &partial, &ScopedPool::default()).unwrap();
-        assert_eq!(plain, completed);
-        assert_eq!(partial.load_kind(RESAMPLE_RECORD_KIND).len(), 120);
     }
 }

@@ -32,9 +32,7 @@ mod metrics;
 mod report;
 mod vote;
 
-pub use bootstrap::{
-    bootstrap_mean, bootstrap_mean_pooled, ConfidenceInterval, ResampleRecord, RESAMPLE_RECORD_KIND,
-};
+pub use bootstrap::{bootstrap_mean, ConfidenceInterval};
 pub use chart::{bar_chart, line_chart};
 pub use confusion::BinaryConfusion;
 pub use curve::{average_precision, precision_recall_at, ScoredPrediction};

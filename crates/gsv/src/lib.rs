@@ -37,7 +37,7 @@ pub const DEFAULT_IMAGE_SIZE: u32 = 640;
 pub use poison::{quiet_injected_panics, PoisonKind, PoisonSchedule};
 pub use request::{ImageRequest, ImageRequestBuilder};
 pub use service::{
-    Capture, CoverageStatus, FeeRecord, ImageResponse, StreetViewService, FEE_PER_IMAGE_USD,
-    FEE_RECORD_KIND,
+    journaled_scenes, Capture, CoverageStatus, FeeRecord, ImageResponse, StreetViewService,
+    FEE_PER_IMAGE_USD, FEE_RECORD_KIND,
 };
 pub use usage::UsageMeter;

@@ -56,6 +56,23 @@ impl Replayable for FeeRecord {
     }
 }
 
+/// The scenes a billing journal holds fees for: every journaled fee's
+/// billing key `(ImageId, size)`, in key order. A run decodes its fees once
+/// and hands each of its services the share it covers through
+/// [`StreetViewService::with_billing_store`].
+///
+/// # Errors
+///
+/// Returns [`Error::Parse`] when a fee record is malformed.
+pub fn journaled_scenes(store: &dyn CheckpointStore) -> Result<Vec<(ImageId, u32)>> {
+    // every loaded fee validated, so each has a billing key
+    let fees = nbhd_journal::load_all::<FeeRecord>(store)?;
+    Ok(fees
+        .iter()
+        .filter_map(|(_, fee)| fee.billing_key())
+        .collect())
+}
+
 /// Response status codes, after the real API's metadata statuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoverageStatus {
@@ -171,24 +188,22 @@ impl StreetViewService {
     /// Attaches a billing journal, making fees idempotent across process
     /// restarts.
     ///
-    /// Every scene fee already recorded in `store` is restored into the
-    /// usage meter (so reported totals span the whole run, not just this
-    /// process) and marked *prepaid*: serving a prepaid scene again after a
-    /// crash costs compute but never a second fee. New fees are journaled
-    /// **before** the meter is charged — save-before-act — so a crash
-    /// between the two leaves the journal authoritative, not the meter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Parse`] when a restored fee record is malformed.
-    pub fn with_billing_store(mut self, store: Arc<dyn CheckpointStore>) -> Result<Self> {
-        // every loaded fee validated, so each has a billing key
-        let fees = nbhd_journal::load_all::<FeeRecord>(store.as_ref())?;
-        for key in fees.iter().filter_map(|(_, fee)| fee.billing_key()) {
-            self.prepay(key);
-        }
-        self.billing = Some(store);
-        Ok(self)
+    /// `paid` is the share of [`journaled_scenes`]`(store)` this service
+    /// may request. Each of those scenes is restored into the usage meter
+    /// (so reported totals span the whole run, not just this process) and
+    /// marked *prepaid*: serving a prepaid scene again after a crash costs
+    /// compute but never a second fee. New fees are journaled **before**
+    /// the meter is charged — save-before-act — so a crash between the two
+    /// leaves the journal authoritative, not the meter.
+    #[must_use]
+    pub fn with_billing_store(
+        self,
+        store: Arc<dyn CheckpointStore>,
+        paid: impl IntoIterator<Item = (ImageId, u32)>,
+    ) -> Self {
+        let mut service = self.with_ledger(paid, 0, 0);
+        service.billing = Some(store);
+        service
     }
 
     /// Carries the books of a run's earlier services over to this one:
@@ -620,7 +635,7 @@ mod tests {
 
         // first "process": bill three scenes, then die
         let (svc, _) = service(5, 9);
-        let svc = svc.with_billing_store(store.clone()).unwrap();
+        let svc = svc.with_billing_store(store.clone(), journaled_scenes(store.as_ref()).unwrap());
         let loc = svc.covered_locations()[0];
         let request = |heading| {
             ImageRequest::builder(loc, heading)
@@ -641,7 +656,7 @@ mod tests {
         // second "process" resumes from the same journal: the three fees
         // are restored, and re-capturing those scenes bills nothing new
         let (svc, _) = service(5, 9);
-        let svc = svc.with_billing_store(store.clone()).unwrap();
+        let svc = svc.with_billing_store(store.clone(), journaled_scenes(store.as_ref()).unwrap());
         let restored = svc.usage();
         assert_eq!(restored.billed_images, 3);
         assert!(
@@ -750,7 +765,7 @@ mod tests {
             .build()
             .unwrap();
         let store = Arc::new(nbhd_journal::MemoryStore::new());
-        let svc = svc.with_billing_store(store.clone()).unwrap();
+        let svc = svc.with_billing_store(store.clone(), journaled_scenes(store.as_ref()).unwrap());
         assert!(matches!(svc.capture(&req), Err(Error::Parse(_))));
         assert!(matches!(svc.fetch(&req), Err(Error::Parse(_))));
         let usage = svc.usage();

@@ -48,9 +48,9 @@ impl KillSchedule {
 
 /// Abstract checkpoint storage for completed units of work.
 ///
-/// One trait serves every layer: the survey pipeline records captures, the
-/// imagery service records fees, the ensemble records votes, the trainer
-/// records harvests, the bootstrap records resamples. Implemented by
+/// One trait serves every layer: the survey pipeline records captures and
+/// completed shards, the imagery service records fees, the study records
+/// its trained detector, the ensemble records votes. Implemented by
 /// [`Journal`] (durable) and [`MemoryStore`] (tests).
 ///
 /// Save-before-act is the contract that makes resume exact: a unit's

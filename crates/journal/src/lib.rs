@@ -4,9 +4,10 @@
 //!
 //! The model is save-before-act over keyed units of work:
 //!
-//! * every completed unit — a `(location, heading)` capture, a journaled
-//!   scene fee, an LLM vote, a per-image detector harvest, a bootstrap
-//!   resample — is appended as one checksummed [`Record`];
+//! * every completed unit that costs to redo — a `(location, heading)`
+//!   capture, a scene fee, a completed shard, the trained detector, an LLM
+//!   vote — is appended as one checksummed [`Record`]; seeded work that is
+//!   cheaper to recompute than to read back is redone instead;
 //! * a [`RunManifest`] binds the journal directory to the FNV-1a hash of
 //!   the run configuration, so resuming under a changed config is refused
 //!   with [`JournalError::ConfigMismatch`] instead of silently replaying

@@ -40,8 +40,8 @@ const FRAME_PREFIX: usize = 12;
 /// corrupt length word rather than an allocation request.
 const MAX_BODY_LEN: u32 = 1 << 28;
 
-/// One journaled unit of completed work: a capture, a harvest, a vote, a
-/// fee, a resample — anything the run must not redo after a crash.
+/// One journaled unit of completed work: a capture, a fee, a vote, a
+/// trained detector — anything that costs to redo after a crash.
 ///
 /// `kind` namespaces the record (each layer owns its kinds), `key`
 /// identifies the unit within the kind, and `payload` is the unit's full

@@ -6,13 +6,14 @@
 //! cargo run --release --example crash_resume -- ./my-run            # resumes
 //! ```
 //!
-//! The first command journals every completed unit (scene fees, captures,
-//! detector harvests, LLM votes, bootstrap resamples) into `./my-run` and
-//! dies after 25 appends, leaving a half-written frame behind — the mess a
-//! real power cut makes. The second command validates the run manifest,
-//! truncates the torn tail, replays the surviving records, and finishes the
-//! run with a report byte-identical to one that never crashed. No scene fee
-//! is ever paid twice.
+//! The first command journals every completed unit that costs to redo
+//! (scene fees, captures, the survey's shard, the trained detector, LLM
+//! votes) into `./my-run` and dies after 25 appends, leaving a
+//! half-written frame behind — the mess a real power cut makes. The second
+//! command validates the run manifest, truncates the torn tail, replays
+//! the surviving records, and finishes the run with a report
+//! byte-identical to one that never crashed. No scene fee is ever paid
+//! twice.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -22,9 +22,9 @@ use nbhd_journal::{
 };
 
 // the torture plan: small enough that the full pipeline runs in tens of
-// milliseconds, large enough that the journal spans every record kind
-// (fees, captures, the survey's shard record, harvests, the detector
-// stage, votes, resamples)
+// milliseconds, large enough that the journal spans every record kind a
+// study writes (fees, captures, the survey's shard record, the detector
+// stage, votes, spans)
 fn plan_with(parallelism: Parallelism) -> RunPlan {
     let mut plan = RunPlan::smoke(99);
     plan.survey.locations = 3;
@@ -102,10 +102,8 @@ fn every_record_kind_loads_the_same_value_live_and_reopened() {
         BTreeSet::from([
             "capture",
             "gsv-fee",
-            "harvest",
             "llm-vote",
             "obs-span",
-            "resample",
             "stage",
             "supervised-shard"
         ])

@@ -1,13 +1,12 @@
 //! Every journal record kind against hostile payloads: for each of the
-//! twelve kinds, a valid payload loads, and a truncated, a wrong-typed and
+//! ten kinds, a valid payload loads, and a truncated, a wrong-typed and
 //! an out-of-range payload is an `Error::Parse` whose message starts with
 //! `"{KIND} record {key}: "`, never a panic and never a silent misparse.
 
 use std::collections::BTreeSet;
 
 use nbhd::client::VoteRecord;
-use nbhd::detect::{Detector, DetectorConfig, HarvestRecord};
-use nbhd::eval::ResampleRecord;
+use nbhd::detect::{Detector, DetectorConfig};
 use nbhd::geo::ShardPlan;
 use nbhd::gsv::FeeRecord;
 use nbhd::journal::{CheckpointStore, MemoryStore, Replayable};
@@ -97,7 +96,6 @@ fn rows() -> Vec<Row> {
             "wall_us": 9,
         })
     };
-    let window = |template: Value, label: f64| json!([["Sidewalk", template, bbox, label]]);
     vec![
         Row {
             kind: "gsv-fee",
@@ -164,16 +162,6 @@ fn rows() -> Vec<Row> {
             out_of_range: Ok(detector(0)),
         },
         Row {
-            kind: "harvest",
-            key: "29".to_owned(),
-            load: load::<HarvestRecord>,
-            valid: window(json!(0), 1.0),
-            truncated: json!([["Sidewalk", 0, bbox]]),
-            wrong_typed: window(json!("zero"), 1.0),
-            // 1e300 overflows the f32 label to infinity
-            out_of_range: Ok(window(json!(0), 1e300)),
-        },
-        Row {
             kind: "llm-vote",
             key: "gemini#loc-000007@90".to_owned(),
             load: load::<VoteRecord>,
@@ -181,15 +169,6 @@ fn rows() -> Vec<Row> {
             truncated: json!({ "bits": 3 }),
             wrong_typed: json!({ "bits": "3", "complete": true }),
             out_of_range: Ok(json!({ "bits": 64, "complete": true })),
-        },
-        Row {
-            kind: "resample",
-            key: "3".to_owned(),
-            load: load::<ResampleRecord>,
-            valid: json!(0.5),
-            truncated: Value::Null,
-            wrong_typed: json!("0.5"),
-            out_of_range: Err("every number is a resample mean"),
         },
         Row {
             kind: "serve-response",
@@ -225,7 +204,7 @@ fn rows() -> Vec<Row> {
 fn every_kind_rejects_truncated_wrong_typed_and_out_of_range_payloads() {
     let rows = rows();
     let kinds: BTreeSet<&str> = rows.iter().map(|row| row.kind).collect();
-    assert_eq!(kinds.len(), 12, "one row per record kind");
+    assert_eq!(kinds.len(), 10, "one row per record kind");
     for row in rows {
         let store = MemoryStore::new();
         let check = |payload: Value| {
