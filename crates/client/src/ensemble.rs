@@ -178,26 +178,39 @@ impl Ensemble {
         faults: FaultProfile,
         config: ExecutorConfig,
     ) -> Ensemble {
-        let clock = Arc::new(VirtualClock::new());
-        let resilience = ResilienceConfig::default();
-        let members = profiles
-            .into_iter()
-            .enumerate()
-            .map(|(i, (profile, voting))| {
-                Member::build(i, profile, voting, survey_seed, faults, &resilience, &clock)
-            })
-            .collect();
         Ensemble {
-            members,
+            members: Vec::new(),
             config,
-            resilience,
+            resilience: ResilienceConfig::default(),
             survey_seed,
             faults,
-            clock,
+            clock: Arc::new(VirtualClock::new()),
             meter: Arc::new(CostMeter::new()),
             checkpoint: None,
             obs: None,
         }
+        .rebuild(profiles)
+    }
+
+    /// Builds one member per profile, in order, each with its decorator
+    /// stack over the ensemble's seed, faults, resilience and clock.
+    fn rebuild(mut self, profiles: impl IntoIterator<Item = (ModelProfile, bool)>) -> Ensemble {
+        self.members = profiles
+            .into_iter()
+            .enumerate()
+            .map(|(i, (profile, voting))| {
+                Member::build(
+                    i,
+                    profile,
+                    voting,
+                    self.survey_seed,
+                    self.faults,
+                    &self.resilience,
+                    &self.clock,
+                )
+            })
+            .collect();
+        self
     }
 
     /// Attaches a checkpoint store: every successful `(model, image)` query
@@ -215,28 +228,13 @@ impl Ensemble {
     /// decorators. Call before [`Ensemble::survey`]; attempt counters reset.
     #[must_use]
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Ensemble {
-        let profiles: Vec<(ModelProfile, bool)> = self
-            .members
-            .iter()
-            .map(|m| (m.profile.clone(), m.voting))
-            .collect();
-        self.members = profiles
-            .into_iter()
-            .enumerate()
-            .map(|(i, (profile, voting))| {
-                Member::build(
-                    i,
-                    profile,
-                    voting,
-                    self.survey_seed,
-                    self.faults,
-                    &resilience,
-                    &self.clock,
-                )
-            })
-            .collect();
         self.resilience = resilience;
-        self
+        let profiles: Vec<_> = self
+            .members
+            .drain(..)
+            .map(|m| (m.profile, m.voting))
+            .collect();
+        self.rebuild(profiles)
     }
 
     /// Attaches the run's observability bundle. The ensemble adopts the
@@ -247,28 +245,13 @@ impl Ensemble {
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Ensemble {
         self.clock = Arc::clone(obs.clock());
-        let profiles: Vec<(ModelProfile, bool)> = self
-            .members
-            .iter()
-            .map(|m| (m.profile.clone(), m.voting))
-            .collect();
-        self.members = profiles
-            .into_iter()
-            .enumerate()
-            .map(|(i, (profile, voting))| {
-                Member::build(
-                    i,
-                    profile,
-                    voting,
-                    self.survey_seed,
-                    self.faults,
-                    &self.resilience,
-                    &self.clock,
-                )
-            })
-            .collect();
         self.obs = Some(obs);
-        self
+        let profiles: Vec<_> = self
+            .members
+            .drain(..)
+            .map(|m| (m.profile, m.voting))
+            .collect();
+        self.rebuild(profiles)
     }
 
     /// Publishes the cost meter and per-member breaker bookkeeping into

@@ -152,9 +152,8 @@ mod tests {
             let clock = Arc::new(VirtualClock::new());
             let bucket = TokenBucket::new(5, 10.0, clock.clone());
             let items: Vec<u32> = (0..100).collect();
-            let _ = nbhd_exec::par_map_with(nbhd_exec::Parallelism::fixed(4), &items, |_| {
-                bucket.acquire_blocking()
-            });
+            let pool = nbhd_exec::ScopedPool::new(nbhd_exec::Parallelism::fixed(4));
+            let _ = pool.map(&items, |_| bucket.acquire_blocking());
             clock.now_ms()
         };
         assert_eq!(

@@ -1,10 +1,8 @@
 //! The supervised baseline: train, evaluate, and ablate the detector.
 
 use nbhd_annotate::{DatasetSplit, LabeledDataset};
-use nbhd_detect::{
-    evaluate_detector, DetectionReport, Detector, DetectorConfig, ImageProvider, TrainConfig,
-    Trainer,
-};
+use nbhd_detect::{evaluate_detector, DetectionReport, Detector, ImageProvider, Trainer};
+use nbhd_exec::ScopedPool;
 use nbhd_raster::{add_gaussian_snr, random_crop, Augmentation, RasterImage};
 use nbhd_types::rng::{child_seed, child_seed_n, rng_from};
 use nbhd_types::{ImageId, ImageLabels, LocationId, Result};
@@ -35,24 +33,16 @@ pub struct BaselineOutcome {
 /// range real surveys use.
 const AUG_OFFSET: u64 = 1 << 40;
 
-/// Trains the detector on the survey's train split and evaluates on test.
+/// Trains the detector on the survey's train split and evaluates on test,
+/// both on [`Trainer::pool`]: the trainer's worker count and, when it is
+/// observed, its registry.
 ///
 /// # Errors
 ///
 /// Propagates provider and training failures.
 pub fn train_baseline(
     survey: &SurveyDataset,
-    train: TrainConfig,
-    detector: DetectorConfig,
-    augmentation: AugmentationPolicy,
-) -> Result<BaselineOutcome> {
-    fit_baseline(survey, Trainer::new(train, detector), augmentation)
-}
-
-/// [`train_baseline`] with a given trainer (observed or not).
-pub(crate) fn fit_baseline(
-    survey: &SurveyDataset,
-    trainer: Trainer,
+    trainer: &Trainer,
     augmentation: AugmentationPolicy,
 ) -> Result<BaselineOutcome> {
     let base_provider = survey.provider();
@@ -63,14 +53,35 @@ pub(crate) fn fit_baseline(
         augmented_view(dataset, &base_provider, augmentation, survey.config().seed)?;
 
     let fitted = trainer.fit(&aug_dataset, &provider)?;
-    let report = evaluate_on(&fitted, dataset, &provider, &dataset.split().test)?;
+    let report = evaluate_detector(
+        &fitted,
+        &labeled(dataset, &dataset.split().test)?,
+        &provider,
+        &trainer.pool(),
+    )?;
     Ok(BaselineOutcome {
         detector: fitted,
         report,
     })
 }
 
-/// Evaluates a detector over a set of image ids from a dataset.
+/// Each of `ids` with its labels from `dataset`.
+pub(crate) fn labeled(
+    dataset: &LabeledDataset,
+    ids: &[ImageId],
+) -> Result<Vec<(ImageId, ImageLabels)>> {
+    ids.iter()
+        .map(|&id| Ok((id, dataset.labels(id)?.clone())))
+        .collect()
+}
+
+/// Evaluates a detector over a set of image ids from a dataset, on a
+/// default pool (every core).
+///
+/// Every evaluation inside the workspace passes its run's pool to
+/// [`evaluate_detector`]; this four-argument form remains only for the
+/// benchmark harness's `detector_train` workload, and goes once that
+/// workload passes its own pool.
 ///
 /// # Errors
 ///
@@ -81,15 +92,16 @@ pub fn evaluate_on<P: ImageProvider + Sync>(
     provider: &P,
     ids: &[ImageId],
 ) -> Result<DetectionReport> {
-    let items: Vec<(ImageId, ImageLabels)> = ids
-        .iter()
-        .map(|&id| Ok((id, dataset.labels(id)?.clone())))
-        .collect::<Result<_>>()?;
-    evaluate_detector(detector, &items, provider)
+    evaluate_detector(
+        detector,
+        &labeled(dataset, ids)?,
+        provider,
+        &ScopedPool::default(),
+    )
 }
 
-/// Evaluates a detector on the test split with Gaussian noise injected at
-/// the given SNR (the Fig. 3 ablation).
+/// Evaluates a detector on the survey's test split on `pool`, with
+/// Gaussian noise injected at the given SNR (the Fig. 3 ablation).
 ///
 /// # Errors
 ///
@@ -98,6 +110,7 @@ pub fn evaluate_with_noise(
     detector: &Detector,
     survey: &SurveyDataset,
     snr_db: f32,
+    pool: &ScopedPool,
 ) -> Result<DetectionReport> {
     let base = survey.provider();
     let seed = child_seed(survey.config().seed, "noise-eval");
@@ -106,11 +119,12 @@ pub fn evaluate_with_noise(
         let mut rng = rng_from(child_seed_n(seed, "image", id.key()));
         Ok(add_gaussian_snr(&mut rng, &img, snr_db))
     };
-    evaluate_on(
+    let dataset = survey.dataset();
+    evaluate_detector(
         detector,
-        survey.dataset(),
+        &labeled(dataset, &dataset.split().test)?,
         &noisy,
-        &survey.dataset().split().test,
+        pool,
     )
 }
 
@@ -224,36 +238,30 @@ pub fn survey_split(survey: &SurveyDataset) -> &DatasetSplit {
 mod tests {
     use super::*;
     use crate::{SurveyConfig, SurveyPipeline};
+    use nbhd_detect::{DetectorConfig, TrainConfig};
 
     fn smoke_survey() -> SurveyDataset {
         SurveyPipeline::new(SurveyConfig::smoke(21)).run().unwrap()
     }
 
-    fn quick_train() -> TrainConfig {
-        TrainConfig {
-            epochs: 4,
-            hard_negative_rounds: 0,
-            ..TrainConfig::default()
-        }
-    }
-
-    fn quick_detector() -> DetectorConfig {
-        DetectorConfig {
-            shrink: 4,
-            ..DetectorConfig::default()
-        }
+    fn quick_trainer() -> Trainer {
+        Trainer::new(
+            TrainConfig {
+                epochs: 4,
+                hard_negative_rounds: 0,
+                ..TrainConfig::default()
+            },
+            DetectorConfig {
+                shrink: 4,
+                ..DetectorConfig::default()
+            },
+        )
     }
 
     #[test]
     fn baseline_trains_and_reports() {
         let survey = smoke_survey();
-        let out = train_baseline(
-            &survey,
-            quick_train(),
-            quick_detector(),
-            AugmentationPolicy::None,
-        )
-        .unwrap();
+        let out = train_baseline(&survey, &quick_trainer(), AugmentationPolicy::None).unwrap();
         assert!(out.report.map50 >= 0.0);
         assert!(out.report.images > 0);
     }
@@ -310,15 +318,10 @@ mod tests {
     #[test]
     fn noise_eval_degrades_gracefully() {
         let survey = smoke_survey();
-        let out = train_baseline(
-            &survey,
-            quick_train(),
-            quick_detector(),
-            AugmentationPolicy::None,
-        )
-        .unwrap();
+        let out = train_baseline(&survey, &quick_trainer(), AugmentationPolicy::None).unwrap();
         let clean = out.report.map50;
-        let noisy = evaluate_with_noise(&out.detector, &survey, 5.0).unwrap();
+        let noisy =
+            evaluate_with_noise(&out.detector, &survey, 5.0, &quick_trainer().pool()).unwrap();
         // at 5 dB performance must not exceed clean by a wide margin
         assert!(
             noisy.map50 <= clean + 0.15,

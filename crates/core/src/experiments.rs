@@ -15,7 +15,6 @@ use nbhd_prompt::{Language, Prompt, PromptMode, PROMPT_ORDER};
 use nbhd_types::{Indicator, Result};
 use nbhd_vlm::{SamplerParams, VisionModel};
 
-use crate::baseline::fit_baseline;
 use crate::{
     evaluate_with_noise, paper_lineup, run_llm_survey, train_baseline, AugmentationPolicy,
     BaselineOutcome, LlmSurveyConfig, LlmSurveyOutcome, SurveyDataset,
@@ -65,7 +64,9 @@ impl PaperExperiments {
     }
 
     /// Observes the baseline's fit: its trainer records its stage spans
-    /// and counters (the scan's window counts among them) into `obs`.
+    /// and counters (the scan's window counts among them) into `obs`, and
+    /// f3's evaluations and c1's classifier record their execution
+    /// counters there too.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> PaperExperiments {
         self.obs = Some(obs);
@@ -95,6 +96,18 @@ impl PaperExperiments {
         (train, detector)
     }
 
+    /// The trainer [`Self::train_configs`] describes, observed when the
+    /// harness is. Its pool is the one every detector experiment fits and
+    /// evaluates on.
+    fn trainer(&self) -> Trainer {
+        let (train, det) = self.train_configs();
+        let trainer = Trainer::new(train, det);
+        match &self.obs {
+            Some(obs) => trainer.with_obs(obs.clone()),
+            None => trainer,
+        }
+    }
+
     /// The trained baseline (cached).
     ///
     /// # Errors
@@ -102,12 +115,7 @@ impl PaperExperiments {
     /// Propagates training failures.
     pub fn baseline(&self) -> Result<&BaselineOutcome> {
         if self.baseline.get().is_none() {
-            let (train, det) = self.train_configs();
-            let mut trainer = Trainer::new(train, det);
-            if let Some(obs) = &self.obs {
-                trainer = trainer.with_obs(obs.clone());
-            }
-            let outcome = fit_baseline(&self.survey, trainer, AugmentationPolicy::None)?;
+            let outcome = train_baseline(&self.survey, &self.trainer(), AugmentationPolicy::None)?;
             let _ = self.baseline.set(outcome);
         }
         Ok(self.baseline.get().expect("just set"))
@@ -173,23 +181,14 @@ impl PaperExperiments {
         // the ablation affordable. The un-augmented arm is retrained under
         // the same budget so the three columns differ only in augmentation.
         train.hard_negative_rounds = train.hard_negative_rounds.min(1);
-        let base = train_baseline(
-            &self.survey,
-            train.clone(),
-            det.clone(),
-            AugmentationPolicy::None,
-        )?;
-        let base = &base;
-        let rot = train_baseline(
-            &self.survey,
-            train.clone(),
-            det.clone(),
-            AugmentationPolicy::Rotations,
-        )?;
+        // unobserved: the harness runs experiments concurrently, and a fit
+        // enters spans, which only the orchestrating thread may do
+        let trainer = Trainer::new(train, det);
+        let base = train_baseline(&self.survey, &trainer, AugmentationPolicy::None)?;
+        let rot = train_baseline(&self.survey, &trainer, AugmentationPolicy::Rotations)?;
         let crop = train_baseline(
             &self.survey,
-            train,
-            det,
+            &trainer,
             AugmentationPolicy::RotationsAndCrops,
         )?;
         let mut body = String::new();
@@ -246,13 +245,14 @@ impl PaperExperiments {
     /// Propagates training failures.
     pub fn f3_noise(&self) -> Result<ExperimentReport> {
         let base = self.baseline()?;
+        let pool = self.trainer().pool();
         let clean = base.report.map50.max(1e-6);
         let mut body = format!("{:>6} {:>8} {:>10}\n", "SNR", "mAP50", "retention");
         let mut retention_30 = 0.0;
         let mut retention_5 = 0.0;
         let mut series = Vec::new();
         for snr in [30.0f32, 25.0, 20.0, 15.0, 10.0, 5.0] {
-            let report = evaluate_with_noise(&base.detector, &self.survey, snr)?;
+            let report = evaluate_with_noise(&base.detector, &self.survey, snr, &pool)?;
             let retention = report.map50 / clean;
             if snr == 30.0 {
                 retention_30 = retention;
@@ -370,20 +370,6 @@ impl PaperExperiments {
                 recalls.push((mode, name, outcome.tables[name].average.recall));
             }
         }
-        let mut body = format!("{:<18} {:>10} {:>10}\n", "model", "parallel", "sequential");
-        for name in ["gemini-1.5-pro", "chatgpt-4o-mini"] {
-            let par = recalls
-                .iter()
-                .find(|(m, n, _)| *m == PromptMode::Parallel && *n == name)
-                .expect("computed")
-                .2;
-            let seq = recalls
-                .iter()
-                .find(|(m, n, _)| *m == PromptMode::Sequential && *n == name)
-                .expect("computed")
-                .2;
-            body.push_str(&format!("{name:<18} {par:>10.3} {seq:>10.3}\n"));
-        }
         let get = |mode, name| {
             recalls
                 .iter()
@@ -391,6 +377,12 @@ impl PaperExperiments {
                 .expect("computed")
                 .2
         };
+        let mut body = format!("{:<18} {:>10} {:>10}\n", "model", "parallel", "sequential");
+        for name in ["gemini-1.5-pro", "chatgpt-4o-mini"] {
+            let par = get(PromptMode::Parallel, name);
+            let seq = get(PromptMode::Sequential, name);
+            body.push_str(&format!("{name:<18} {par:>10.3} {seq:>10.3}\n"));
+        }
         Ok(ExperimentReport {
             id: "f4",
             title: "Parallel vs sequential prompting recall (paper Fig. 4)".into(),
@@ -720,7 +712,6 @@ impl PaperExperiments {
     ///
     /// Propagates imagery failures.
     pub fn a1_correlation(&self) -> Result<ExperimentReport> {
-        use nbhd_client::{Ensemble, ExecutorConfig, FaultProfile};
         use nbhd_eval::{majority_vote, PresenceEvaluator, TiePolicy};
         let ids: Vec<nbhd_types::ImageId> = self.survey.images().to_vec();
         let contexts = self.survey.contexts(&ids)?;
@@ -777,12 +768,6 @@ impl PaperExperiments {
         }
         let gain_at_zero = gains[0].1;
         let gain_at_one = gains[gains.len() - 1].1;
-        // suppress the unused import warning for Ensemble/ExecutorConfig
-        let _ = (
-            std::any::type_name::<Ensemble>(),
-            std::any::type_name::<ExecutorConfig>(),
-            std::any::type_name::<FaultProfile>(),
-        );
         Ok(ExperimentReport {
             id: "a1",
             title: "Voting gain vs cross-model error correlation (ablation)".into(),
@@ -861,12 +846,13 @@ impl PaperExperiments {
     pub fn c1_scene_baseline(&self) -> Result<ExperimentReport> {
         let base = self.baseline()?;
         let provider = self.survey.provider();
-        let (train, _) = self.train_configs();
+        let trainer = self.trainer();
         let classifier = SceneClassifier::fit(
             self.survey.dataset(),
             &provider,
-            train.epochs,
+            trainer.train.epochs,
             self.survey.config().seed,
+            &trainer.pool(),
         )?;
         // presence-level comparison on the test split
         let mut det_eval = PresenceEvaluator::new();

@@ -692,14 +692,23 @@ pub(crate) struct ShardPass {
     pub(crate) coverage: ShardCoverage,
 }
 
+/// A shard's share of what earlier processes journaled: its locations'
+/// billed scenes, quarantine facts and attempt ledger.
+#[derive(Default)]
+struct Journaled {
+    scenes: Scenes,
+    quarantined: Vec<QuarantineRecord>,
+    attempts: Vec<AttemptRecord>,
+}
+
 /// The one shard loop behind [`run_supervised`] (every shard) and
 /// [`crate::run_shard_distributed`] (one shard in its own process).
 /// Validates the config and policy, draws the sample, decodes the store's
-/// journaled fees, and builds the labeler, pool and watchdog clock once;
-/// then runs each shard in `shards` under its `shard-{i}` span with one
-/// wall-time sample per shard, its service prepaid with the journaled
-/// scenes of its own locations. Returns the sample, the passes and every
-/// journaled scene.
+/// journaled fees, quarantine facts and attempt ledger, and builds the
+/// labeler, pool and watchdog clock once; then runs each shard in `shards`
+/// under its `shard-{i}` span with one wall-time sample per shard, handing
+/// it the journaled records of its own locations. Returns the sample, the
+/// passes and every journaled scene.
 pub(crate) fn drive_shards(
     config: &SurveyConfig,
     plan: ShardPlan,
@@ -729,16 +738,28 @@ pub(crate) fn drive_shards(
         Some(store) => journaled_scenes(store.as_ref())?,
         None => Vec::new(),
     };
+    let mut journaled: Vec<Journaled> = (0..plan.shards()).map(|_| Journaled::default()).collect();
+    for &scene in &paid {
+        journaled[plan.assign(scene.0.location)].scenes.push(scene);
+    }
+    if let Some(store) = store {
+        for (_, record) in nbhd_journal::load_all::<QuarantineRecord>(store.as_ref())? {
+            journaled[plan.assign(record.location)]
+                .quarantined
+                .push(record);
+        }
+        for (_, record) in nbhd_journal::load_all::<AttemptRecord>(store.as_ref())? {
+            journaled[plan.assign(record.location)]
+                .attempts
+                .push(record);
+        }
+    }
 
     let mut passes = Vec::with_capacity(shards.len());
     for shard in shards {
         let started = Instant::now();
         let stage = obs.map(|o| o.tracer().enter(&format!("shard-{shard}")));
-        let own: Scenes = paid
-            .iter()
-            .copied()
-            .filter(|(id, _)| plan.assign(id.location) == shard)
-            .collect();
+        let own = std::mem::take(&mut journaled[shard]);
         passes.push(run_shard_supervised(
             config, &sample, plan, shard, policy, poison, &labeler, &pool, &clock, store, own,
         )?);
@@ -793,7 +814,7 @@ pub(crate) fn publish(
 
 /// One supervised shard pass: the shard's merged-in annotations, its
 /// service's scene high-water mark, freshly billed scenes, and its coverage
-/// facts. `paid` holds the journaled scenes of the shard's locations.
+/// facts. `journaled` holds the journal's records of the shard's locations.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_supervised(
     config: &SurveyConfig,
@@ -806,7 +827,7 @@ fn run_shard_supervised(
     pool: &ScopedPool,
     clock: &Arc<VirtualClock>,
     store: Option<&Arc<dyn CheckpointStore>>,
-    paid: Scenes,
+    journaled: Journaled,
 ) -> Result<ShardPass> {
     let key = format!("{shard}of{}", plan.shards());
     if let Some(store) = store {
@@ -832,7 +853,7 @@ fn run_shard_supervised(
         service = service.with_poison(schedule);
     }
     if let Some(store) = store {
-        service = service.with_billing_store(Arc::clone(store), paid);
+        service = service.with_billing_store(Arc::clone(store), journaled.scenes);
     }
     let planned = service.covered_locations();
     let planned_set: HashSet<LocationId> = planned.iter().copied().collect();
@@ -842,18 +863,16 @@ fn run_shard_supervised(
     // with its recorded cause.
     let mut prior_quarantine: HashMap<LocationId, QuarantineRecord> = HashMap::new();
     let mut ledgered: BTreeMap<LocationId, (u32, QuarantineCause)> = BTreeMap::new();
-    if let Some(store) = store {
-        for (_, record) in nbhd_journal::load_all::<QuarantineRecord>(store.as_ref())? {
-            if planned_set.contains(&record.location) {
-                prior_quarantine.insert(record.location, record);
-            }
+    for record in journaled.quarantined {
+        if planned_set.contains(&record.location) {
+            prior_quarantine.insert(record.location, record);
         }
-        for (_, record) in nbhd_journal::load_all::<AttemptRecord>(store.as_ref())? {
-            if planned_set.contains(&record.location)
-                && !prior_quarantine.contains_key(&record.location)
-            {
-                ledgered.insert(record.location, (record.attempts, record.cause));
-            }
+    }
+    for record in journaled.attempts {
+        if planned_set.contains(&record.location)
+            && !prior_quarantine.contains_key(&record.location)
+        {
+            ledgered.insert(record.location, (record.attempts, record.cause));
         }
     }
 
@@ -1243,11 +1262,11 @@ mod tests {
         );
     }
 
-    /// A store that counts how often the fee kind is decoded.
+    /// A store that counts how often each record kind is decoded whole.
     #[derive(Debug, Default)]
     struct CountingStore {
         inner: MemoryStore,
-        fee_decodes: std::sync::atomic::AtomicUsize,
+        decodes: std::sync::Mutex<BTreeMap<String, usize>>,
     }
 
     impl CheckpointStore for CountingStore {
@@ -1256,10 +1275,12 @@ mod tests {
         }
 
         fn load_kind(&self, kind: &str) -> Vec<(String, serde_json::Value)> {
-            if kind == nbhd_gsv::FEE_RECORD_KIND {
-                self.fee_decodes
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
+            *self
+                .decodes
+                .lock()
+                .unwrap()
+                .entry(kind.to_owned())
+                .or_default() += 1;
             self.inner.load_kind(kind)
         }
 
@@ -1277,6 +1298,15 @@ mod tests {
     fn a_journaled_run_decodes_its_fees_once_at_any_shard_state() {
         let config = SurveyConfig::smoke(65);
         let plan = ShardPlan::new(4).unwrap();
+        // fees, quarantine facts and the attempt ledger, once each per run
+        let once: BTreeMap<String, usize> = [
+            nbhd_gsv::FEE_RECORD_KIND,
+            QUARANTINE_RECORD_KIND,
+            ATTEMPT_RECORD_KIND,
+        ]
+        .into_iter()
+        .map(|kind| (kind.to_owned(), 1))
+        .collect();
         let run = |store: &Arc<CountingStore>| {
             let outcome = run_supervised(
                 &config,
@@ -1287,9 +1317,7 @@ mod tests {
                 None,
             )
             .unwrap();
-            let decodes = store
-                .fee_decodes
-                .swap(0, std::sync::atomic::Ordering::Relaxed);
+            let decodes = std::mem::take(&mut *store.decodes.lock().unwrap());
             (outcome, decodes)
         };
         let usage = |outcome: &ShardedOutcome| {
@@ -1300,12 +1328,12 @@ mod tests {
         // fresh: every shard runs and bills
         let store = Arc::new(CountingStore::default());
         let (fresh, decodes) = run(&store);
-        assert_eq!(decodes, 1, "a fresh run");
+        assert_eq!(decodes, once, "a fresh run");
         assert!(usage(&fresh).0 > 0);
 
         // resumed with every shard complete: every shard replays whole
         let (replayed, decodes) = run(&store);
-        assert_eq!(decodes, 1, "a run whose shards all replay");
+        assert_eq!(decodes, once, "a run whose shards all replay");
         assert_eq!(usage(&replayed), usage(&fresh));
 
         // resumed with fees and captures but no shard record: every shard
@@ -1318,7 +1346,7 @@ mod tests {
         }
         let fees = partial.inner.load_kind(nbhd_gsv::FEE_RECORD_KIND).len();
         let (rerun, decodes) = run(&partial);
-        assert_eq!(decodes, 1, "a run whose shards all run again");
+        assert_eq!(decodes, once, "a run whose shards all run again");
         assert_eq!(usage(&rerun), usage(&fresh));
         assert_eq!(rerun.survey().dataset(), fresh.survey().dataset());
         assert_eq!(

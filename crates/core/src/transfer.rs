@@ -7,12 +7,13 @@
 //! split (in-domain) and on region set B's test split (transfer), and render
 //! both as [`TransferRow`]s via `nbhd_eval::render_transfer_table`.
 
-use nbhd_detect::{Detector, DetectorConfig, TrainConfig};
+use nbhd_detect::{evaluate_detector, Detector, DetectorConfig, TrainConfig, Trainer};
 use nbhd_eval::TransferRow;
+use nbhd_exec::ScopedPool;
 use nbhd_geo::ShardPlan;
 use nbhd_types::Result;
 
-use crate::baseline::evaluate_on;
+use crate::baseline::labeled;
 use crate::config::SurveyConfig;
 use crate::pipeline::SurveyDataset;
 use crate::supervise::{run_supervised, SupervisePolicy};
@@ -67,13 +68,11 @@ fn row_for(
     survey: &SurveyDataset,
     train_region: &str,
     eval_region: &str,
+    pool: &ScopedPool,
 ) -> Result<TransferRow> {
-    let report = evaluate_on(
-        detector,
-        survey.dataset(),
-        &survey.provider(),
-        &survey.dataset().split().test,
-    )?;
+    let dataset = survey.dataset();
+    let items = labeled(dataset, &dataset.split().test)?;
+    let report = evaluate_detector(detector, &items, &survey.provider(), pool)?;
     Ok(TransferRow {
         train_region: train_region.to_string(),
         eval_region: eval_region.to_string(),
@@ -93,7 +92,8 @@ fn row_for(
 /// of how many regions either config names. Determinism is inherited from
 /// the sharded path: the same configs, plan, and training knobs reproduce
 /// the same rows. A capture failure quarantines its location rather than
-/// aborting; each row's coverage column reports it.
+/// aborting; each row's coverage column reports it. Both evaluations run
+/// on the trainer's pool, so `train.parallelism` bounds the whole fit.
 ///
 /// Returns configuration, sampling, imagery, or training errors from the
 /// underlying survey and fit stages.
@@ -106,6 +106,7 @@ pub fn run_transfer(
 ) -> Result<TransferOutcome> {
     let policy = SupervisePolicy::default();
     let source_run = run_supervised(source, plan, policy, None, None, None)?;
+    let pool = Trainer::new(train.clone(), detector.clone()).pool();
     let fitted = source_run.train_sharded(train, detector)?;
     let source_survey = source_run.into_survey();
 
@@ -113,8 +114,8 @@ pub fn run_transfer(
 
     let source_label = region_label(source);
     let target_label = region_label(target);
-    let in_domain = row_for(&fitted, &source_survey, &source_label, &source_label)?;
-    let transfer = row_for(&fitted, &target_survey, &source_label, &target_label)?;
+    let in_domain = row_for(&fitted, &source_survey, &source_label, &source_label, &pool)?;
+    let transfer = row_for(&fitted, &target_survey, &source_label, &target_label, &pool)?;
 
     Ok(TransferOutcome {
         detector: fitted,

@@ -3,7 +3,7 @@
 use std::sync::OnceLock;
 
 use nbhd_eval::{average_precision, BinaryConfusion, ClassMetrics, MetricsTable};
-use nbhd_exec::{Parallelism, ScopedPool};
+use nbhd_exec::ScopedPool;
 use nbhd_types::{ImageId, ImageLabels, Indicator, IndicatorMap, Result};
 
 use crate::detector::{ScanCount, ScanPlan};
@@ -27,29 +27,15 @@ pub struct DetectionReport {
 
 /// Per class, each detection's `(score, matched_ground_truth)` pair, plus
 /// the ground-truth positive count per class.
-pub type ScoredMatches = (IndicatorMap<Vec<(f32, bool)>>, IndicatorMap<usize>);
+pub(crate) type ScoredMatches = (IndicatorMap<Vec<(f32, bool)>>, IndicatorMap<usize>);
 
 /// Scored, matched detections over a set of labeled images: for every
 /// class, each detection's `(score, matched_ground_truth)` pair plus the
-/// ground-truth positive count. Shared by AP evaluation and the trainer's
-/// object-level threshold calibration. Images fan out with automatic
-/// parallelism.
-///
-/// # Errors
-///
-/// Propagates image-provider failures.
-pub fn scored_matches<P: ImageProvider + Sync>(
-    detector: &Detector,
-    items: &[(ImageId, ImageLabels)],
-    provider: &P,
-) -> Result<ScoredMatches> {
-    let pool = ScopedPool::new(Parallelism::auto());
-    Ok(scored_matches_on(detector, items, provider, &pool, &OnceLock::new())?.0)
-}
-
-/// [`scored_matches`] with the images fanned out on `pool` and scanned
-/// with the stage's `plan`, plus the scans' summed window counts.
-pub(crate) fn scored_matches_on<P: ImageProvider + Sync>(
+/// ground-truth positive count, and the scans' summed window counts.
+/// Shared by AP evaluation and the trainer's object-level threshold
+/// calibration. Images fan out on `pool` and are scanned with the stage's
+/// `plan`.
+pub(crate) fn scored_matches<P: ImageProvider + Sync>(
     detector: &Detector,
     items: &[(ImageId, ImageLabels)],
     provider: &P,
@@ -108,7 +94,8 @@ pub(crate) fn scored_matches_on<P: ImageProvider + Sync>(
 /// For every class: detections across all images are matched greedily
 /// (score-descending) to unmatched ground truth at IoU >= 0.5; AP is
 /// computed over the full score range, while the metric table reflects the
-/// detector's operating thresholds.
+/// detector's operating thresholds. Images fan out on `pool`; the report
+/// is the same at any worker count.
 ///
 /// # Errors
 ///
@@ -117,8 +104,10 @@ pub fn evaluate_detector<P: ImageProvider + Sync>(
     detector: &Detector,
     items: &[(ImageId, ImageLabels)],
     provider: &P,
+    pool: &ScopedPool,
 ) -> Result<DetectionReport> {
-    let (scored, positives) = scored_matches(detector, items, provider)?;
+    let ((scored, positives), _) =
+        scored_matches(detector, items, provider, pool, &OnceLock::new())?;
 
     // Operating-point confusion: TP/FP from matched scored detections above
     // threshold, FN from unmatched positives.
@@ -158,11 +147,14 @@ mod tests {
     use super::*;
     use crate::{DetectorConfig, TrainConfig, Trainer};
     use nbhd_annotate::{LabeledDataset, SplitRatios};
+    use nbhd_exec::Parallelism;
     use nbhd_geo::{RoadClass, Zoning};
+    use nbhd_obs::MetricsRegistry;
     use nbhd_raster::RasterImage;
     use nbhd_scene::{render, SceneGenerator, ViewKind};
     use nbhd_types::{Error, Heading, LocationId};
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     fn build(n: u64, size: u32) -> (LabeledDataset, HashMap<ImageId, RasterImage>) {
         let generator = SceneGenerator::new(77);
@@ -211,7 +203,7 @@ mod tests {
             .iter()
             .map(|&id| (id, ds.labels(id).unwrap().clone()))
             .collect();
-        let report = evaluate_detector(&det, &items, &provider).unwrap();
+        let report = evaluate_detector(&det, &items, &provider, &ScopedPool::default()).unwrap();
         assert!(
             report.map50 > 0.3,
             "trained mAP50 {:.3} should be far above chance",
@@ -235,8 +227,44 @@ mod tests {
             .iter()
             .map(|&id| (id, ds.labels(id).unwrap().clone()))
             .collect();
-        let report = evaluate_detector(&det, &items, &provider).unwrap();
+        let report = evaluate_detector(&det, &items, &provider, &ScopedPool::default()).unwrap();
         // with all scores at 0.5 everything fires; precision collapses
         assert!(report.table.average.precision < 0.6);
+    }
+
+    #[test]
+    fn evaluation_runs_on_the_pool_it_is_given() {
+        let (ds, images) = build(16, 96);
+        let trainer = Trainer::new(
+            TrainConfig {
+                epochs: 2,
+                hard_negative_rounds: 0,
+                ..TrainConfig::default()
+            },
+            DetectorConfig::default(),
+        );
+        let provider = move |id: ImageId| {
+            images
+                .get(&id)
+                .cloned()
+                .ok_or_else(|| Error::not_found(format!("{id}")))
+        };
+        let det = trainer.fit(&ds, &provider).unwrap();
+        let items: Vec<(ImageId, nbhd_types::ImageLabels)> = ds
+            .images()
+            .iter()
+            .map(|&id| (id, ds.labels(id).unwrap().clone()))
+            .collect();
+        let serial = ScopedPool::new(Parallelism::serial());
+        let registry = Arc::new(MetricsRegistry::new());
+        let parallel = ScopedPool::new(Parallelism::fixed(4)).with_metrics(Arc::clone(&registry));
+        let a = evaluate_detector(&det, &items, &provider, &serial).unwrap();
+        let b = evaluate_detector(&det, &items, &provider, &parallel).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.map50.to_bits(), b.map50.to_bits());
+        assert_eq!(
+            registry.snapshot().counters[nbhd_exec::TASKS_METRIC],
+            items.len() as u64
+        );
     }
 }

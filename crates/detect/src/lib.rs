@@ -62,11 +62,9 @@ mod train;
 
 pub use anchors::{Anchor, AnchorRun, AnchorSet, AnchorWindow};
 pub use detector::{ClassScorer, Detector, DetectorConfig};
-pub use eval::{evaluate_detector, scored_matches, DetectionReport, ScoredMatches, MATCH_IOU};
+pub use eval::{evaluate_detector, DetectionReport, MATCH_IOU};
 pub use features::{FeatureMap, IntegralChannels, FEATURE_DIM, GRID, NUM_CHANNELS};
 pub use nms::{nms, Detection};
-// per-image fan-out now lives in the shared execution substrate
-pub use nbhd_exec::{par_map, Parallelism};
 pub use scene_baseline::{whole_image_feature, SceneClassifier};
 pub use train::{
     ImageProvider, ShardData, ShardSource, TrainConfig, Trainer, SCAN_EXACT_METRIC,

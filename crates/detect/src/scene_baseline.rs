@@ -7,6 +7,7 @@
 //! vector — so experiment C1 can measure how much object detection buys.
 
 use nbhd_annotate::LabeledDataset;
+use nbhd_exec::ScopedPool;
 use nbhd_types::rng::{child_seed, rng_from};
 use nbhd_types::{BBox, Error, Indicator, IndicatorMap, IndicatorSet, Result};
 use rand::seq::SliceRandom;
@@ -28,6 +29,8 @@ pub struct SceneClassifier {
 impl SceneClassifier {
     /// Trains the baseline on a dataset's train split (20 epochs of SGD,
     /// mirroring the detector's budget), calibrating thresholds on val.
+    /// The train images' features are computed on `pool`; the classifier
+    /// is the same at any worker count.
     ///
     /// # Errors
     ///
@@ -37,12 +40,13 @@ impl SceneClassifier {
         provider: &P,
         epochs: u32,
         seed: u64,
+        pool: &ScopedPool,
     ) -> Result<SceneClassifier> {
         let train = &dataset.split().train;
         if train.is_empty() {
             return Err(Error::config("training split is empty"));
         }
-        let harvested = crate::par_map(train, |&id| -> Result<_> {
+        let harvested = pool.map(train, |&id| -> Result<_> {
             let img = provider.image(id)?;
             Ok((whole_image_feature(&img, 8), dataset.labels(id)?.presence()))
         });
@@ -154,7 +158,7 @@ mod tests {
                 .cloned()
                 .ok_or_else(|| Error::not_found(format!("{id}")))
         };
-        let clf = SceneClassifier::fit(&ds, &provider, 10, 55).unwrap();
+        let clf = SceneClassifier::fit(&ds, &provider, 10, 55, &ScopedPool::default()).unwrap();
         let mut correct = 0usize;
         let mut total = 0usize;
         for &id in &ds.split().test {
@@ -194,6 +198,6 @@ mod tests {
         let provider = |_: ImageId| -> Result<nbhd_raster::RasterImage> {
             Ok(nbhd_raster::RasterImage::new(64, 64))
         };
-        assert!(SceneClassifier::fit(&ds, &provider, 3, 1).is_err());
+        assert!(SceneClassifier::fit(&ds, &provider, 3, 1, &ScopedPool::default()).is_err());
     }
 }

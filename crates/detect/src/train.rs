@@ -20,7 +20,7 @@ use rand::Rng;
 use nbhd_exec::{Parallelism, ScopedPool};
 
 use crate::detector::{ScanCount, ScanPlan};
-use crate::eval::scored_matches_on;
+use crate::eval::scored_matches;
 use crate::{AnchorRun, AnchorWindow, ClassScorer, Detector, DetectorConfig, IntegralChannels};
 
 /// Counter of the windows a fit's mining and calibration scans covered.
@@ -175,6 +175,18 @@ impl Trainer {
         self
     }
 
+    /// The worker pool this trainer fits on: [`TrainConfig::parallelism`]
+    /// workers, recording execution counters into the attached bundle's
+    /// registry. Callers evaluate a fitted detector on it too, so a fit
+    /// and its evaluation share one worker budget.
+    pub fn pool(&self) -> ScopedPool {
+        let pool = ScopedPool::new(self.train.parallelism);
+        match &self.obs {
+            Some(obs) => pool.with_metrics(Arc::clone(obs.registry())),
+            None => pool,
+        }
+    }
+
     /// Trains on the dataset's train split, then calibrates per-class
     /// thresholds on the validation split.
     ///
@@ -225,10 +237,7 @@ impl Trainer {
         }
         let mut detector = Detector::untrained(self.detector.clone());
         let mut rng = rng_from(child_seed(self.train.seed, "trainer"));
-        let mut pool = ScopedPool::new(self.train.parallelism);
-        if let Some(obs) = &self.obs {
-            pool = pool.with_metrics(Arc::clone(obs.registry()));
-        }
+        let pool = self.pool();
 
         // Pass 1: harvest positive and random-negative windows, featurized
         // and routed to the mixture component of their generating template.
@@ -314,7 +323,7 @@ impl Trainer {
                 }
                 covered += items.len();
                 let ((shard_scored, shard_positives), count) =
-                    scored_matches_on(&detector, &items, &data.provider, &pool, &plan)?;
+                    scored_matches(&detector, &items, &data.provider, &pool, &plan)?;
                 scanned += count;
                 for (idx, local) in shard_scored.into_array().into_iter().enumerate() {
                     let ind = Indicator::from_index(idx).expect("index < 6");

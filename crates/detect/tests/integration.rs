@@ -109,7 +109,9 @@ fn noise_monotonically_degrades_detection() {
                 None => img,
             })
         };
-        evaluate_detector(&det, &items, &noisy).unwrap().map50
+        evaluate_detector(&det, &items, &noisy, &quick_trainer(9).pool())
+            .unwrap()
+            .map50
     };
     let clean = map_at(None);
     let mild = map_at(Some(30.0));
@@ -128,8 +130,9 @@ fn noise_monotonically_degrades_detection() {
 fn detector_and_classifier_agree_on_easy_scenes() {
     let (ds, images) = build(60, 128, 11);
     let p = provider(images.clone());
-    let det = quick_trainer(11).fit(&ds, &p).unwrap();
-    let clf = SceneClassifier::fit(&ds, &p, 8, 11).unwrap();
+    let trainer = quick_trainer(11);
+    let det = trainer.fit(&ds, &p).unwrap();
+    let clf = SceneClassifier::fit(&ds, &p, 8, 11, &trainer.pool()).unwrap();
     // both models, on the test images, agree with ground truth more often
     // than they disagree for road presence (the easiest signal)
     let mut det_correct = 0usize;

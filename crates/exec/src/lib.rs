@@ -8,9 +8,9 @@
 //!
 //! Two rules make that hold:
 //!
-//! 1. **Order preservation.** [`par_map`] / [`par_map_indexed`] write each
-//!    chunk's results into its own pre-sized slot and join the slots in
-//!    input order, so `par_map(items, f)` equals `items.iter().map(f)`
+//! 1. **Order preservation.** [`ScopedPool::map`] writes each chunk's
+//!    results into its own pre-sized slot and joins the slots in input
+//!    order, so `pool.map(items, f)` equals `items.iter().map(f)`
 //!    element-for-element, at any worker count. No single-channel drain: a
 //!    worker never funnels another worker's results.
 //! 2. **Seed-per-item.** Stochastic work derives its randomness from
@@ -19,7 +19,8 @@
 //!    thread ran it or when.
 //!
 //! The [`Parallelism`] knob is plumbed through `SurveyConfig`,
-//! `TrainConfig`, and `ExecutorConfig`. Execution counters (tasks,
+//! `TrainConfig`, and `ExecutorConfig`; the run that owns a setting builds
+//! one [`ScopedPool`] from it and hands that pool to every stage it runs. Execution counters (tasks,
 //! chunks, steals, busy wall-time, and an items-per-chunk histogram)
 //! record into a run-scoped `nbhd-obs`
 //! [`MetricsRegistry`](nbhd_obs::MetricsRegistry) attached via
@@ -29,13 +30,12 @@
 //! # Examples
 //!
 //! ```
-//! use nbhd_exec::{par_map, par_map_with, Parallelism};
+//! use nbhd_exec::{Parallelism, ScopedPool};
 //!
 //! let items: Vec<u64> = (0..100).collect();
-//! let serial = par_map_with(Parallelism::serial(), &items, |&x| x * x);
-//! let parallel = par_map_with(Parallelism::fixed(4), &items, |&x| x * x);
+//! let serial = ScopedPool::new(Parallelism::serial()).map(&items, |&x| x * x);
+//! let parallel = ScopedPool::new(Parallelism::fixed(4)).map(&items, |&x| x * x);
 //! assert_eq!(serial, parallel);
-//! assert_eq!(par_map(&items, |&x| x * x), serial);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,10 +46,7 @@ mod pool;
 mod stats;
 
 pub use parallelism::Parallelism;
-pub use pool::{
-    panic_message, par_map, par_map_chunked, par_map_indexed, par_map_indexed_with, par_map_with,
-    ScopedPool, TaskPanicked,
-};
+pub use pool::{panic_message, par_map_chunked, ScopedPool};
 pub use stats::{
     ExecSnapshot, BUSY_US_METRIC, CHUNKS_METRIC, CHUNK_ITEMS_HIST, PARALLEL_CALLS_METRIC,
     SERIAL_CALLS_METRIC, STEALS_METRIC, TASKS_METRIC,

@@ -27,12 +27,12 @@ use crate::{stats, Parallelism};
 ///
 /// When several items panic concurrently, the lowest observed input index
 /// is reported.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanicked {
+#[derive(Debug)]
+pub(crate) struct TaskPanicked {
     /// Input index of the item whose closure panicked.
-    pub index: usize,
+    index: usize,
     /// The panic payload, when it was a string (the common case).
-    pub message: String,
+    message: String,
 }
 
 impl fmt::Display for TaskPanicked {
@@ -41,8 +41,6 @@ impl fmt::Display for TaskPanicked {
     }
 }
 
-impl std::error::Error for TaskPanicked {}
-
 /// Extracts a printable message from a panic payload.
 ///
 /// `&'static str` and `String` payloads (the overwhelmingly common cases:
@@ -50,7 +48,7 @@ impl std::error::Error for TaskPanicked {}
 /// anything else — `panic_any` with a non-string value — is reported as an
 /// opaque payload rather than dropped. Public so supervisors that run their
 /// own `catch_unwind` (e.g. per-unit quarantine in `nbhd-core`) produce
-/// causes identical to the pool's own [`TaskPanicked::message`].
+/// causes identical to the ones the pool's maps re-panic with.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_owned()
@@ -80,85 +78,12 @@ const MIN_PARALLEL_ITEMS: usize = 4;
 /// core) rebalances; not so many that cursor contention dominates.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// Maps `f` over `items` with automatic parallelism, preserving order.
-///
-/// Equivalent to `items.iter().map(f).collect()` — bit-identical output —
-/// at any worker count.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_with(Parallelism::auto(), items, f)
-}
-
-/// Maps `f` over `items` under an explicit [`Parallelism`], preserving
-/// order.
-pub fn par_map_with<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_with(parallelism, items, |_, item| f(item))
-}
-
-/// Maps `f(index, &item)` over `items` with automatic parallelism,
-/// preserving order. The index is the item's position in the input —
-/// use it with [`crate::child_seed`] for per-item randomness.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_with(Parallelism::auto(), items, f)
-}
-
-/// Maps `f(index, &item)` over `items` under an explicit [`Parallelism`],
-/// preserving order.
-pub fn par_map_indexed_with<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_metrics(parallelism, items, f, None)
-}
-
-/// [`par_map_indexed_with`] recording into an optional run-scoped
-/// registry; the registry-aware internals behind [`ScopedPool`].
-fn par_map_indexed_metrics<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    f: F,
-    registry: Option<&MetricsRegistry>,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = parallelism.workers_for(n);
-    if workers <= 1 || n < MIN_PARALLEL_ITEMS {
-        stats::record_serial(n, registry);
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-    match try_par_map_chunked(workers, chunk, items, f, registry) {
-        Ok(out) => out,
-        Err(panicked) => panic!("exec {panicked}"),
-    }
-}
-
 /// The core primitive: maps `f(index, &item)` over `items` on `workers`
 /// threads claiming chunks of `chunk` items, preserving order.
 ///
 /// Exposed (rather than private) so the determinism suite can drive it
 /// with arbitrary chunk sizes and worker counts; production callers use
-/// the `par_map*` wrappers, which pick a chunk size.
+/// [`ScopedPool::map`], which picks a chunk size.
 ///
 /// # Panics
 ///
@@ -335,19 +260,27 @@ impl ScopedPool {
         self.metrics.as_ref()
     }
 
-    /// Ordered parallel map (see [`par_map_with`]).
+    /// Maps `f` over `items` under the pool's parallelism, preserving
+    /// order: the output equals `items.iter().map(f).collect()`, bit for
+    /// bit, at any worker count.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        par_map_indexed_metrics(
-            self.parallelism,
-            items,
-            |_, item| f(item),
-            self.metrics.as_deref(),
-        )
+        let n = items.len();
+        let registry = self.metrics.as_deref();
+        let workers = self.parallelism.workers_for(n);
+        if workers <= 1 || n < MIN_PARALLEL_ITEMS {
+            stats::record_serial(n, registry);
+            return items.iter().map(f).collect();
+        }
+        let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
+        match try_par_map_chunked(workers, chunk, items, |_, item| f(item), registry) {
+            Ok(out) => out,
+            Err(panicked) => panic!("exec {panicked}"),
+        }
     }
 }
 
@@ -358,7 +291,7 @@ mod tests {
     #[test]
     fn preserves_order_and_values() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, |&x| x * 3 + 1);
+        let out = ScopedPool::default().map(&items, |&x| x * 3 + 1);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, items[i] * 3 + 1);
         }
@@ -366,8 +299,9 @@ mod tests {
 
     #[test]
     fn handles_tiny_and_empty_inputs() {
-        assert!(par_map::<u32, u32, _>(&[], |&x| x).is_empty());
-        assert_eq!(par_map(&[7], |&x: &u32| x + 1), vec![8]);
+        let pool = ScopedPool::default();
+        assert!(pool.map::<u32, u32, _>(&[], |&x| x).is_empty());
+        assert_eq!(pool.map(&[7], |&x: &u32| x + 1), vec![8]);
     }
 
     #[test]
@@ -375,9 +309,8 @@ mod tests {
         let items: Vec<u64> = (0..257).collect();
         let seq: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0xabc).collect();
         for workers in 1..=8 {
-            let par = par_map_with(Parallelism::fixed(workers), &items, |&x| {
-                x.wrapping_mul(x) ^ 0xabc
-            });
+            let par = ScopedPool::new(Parallelism::fixed(workers))
+                .map(&items, |&x| x.wrapping_mul(x) ^ 0xabc);
             assert_eq!(seq, par, "workers={workers}");
         }
     }
@@ -393,13 +326,6 @@ mod tests {
                 assert_eq!(*v, items[i] + 1);
             }
         }
-    }
-
-    #[test]
-    fn indexed_map_sees_input_positions() {
-        let items = vec!["a", "b", "c", "d", "e", "f"];
-        let out = par_map_indexed_with(Parallelism::fixed(3), &items, |i, s| format!("{i}{s}"));
-        assert_eq!(out, vec!["0a", "1b", "2c", "3d", "4e", "5f"]);
     }
 
     #[test]
@@ -500,10 +426,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_repanics_with_task_context() {
+    fn map_repanics_with_task_context() {
         let items: Vec<u32> = (0..40).collect();
         let caught = std::panic::catch_unwind(|| {
-            par_map_with(Parallelism::fixed(4), &items, |&x| {
+            ScopedPool::new(Parallelism::fixed(4)).map(&items, |&x| {
                 assert!(x != 5, "boom at five");
                 x
             })
@@ -518,7 +444,7 @@ mod tests {
     fn fallible_core_matches_map_on_clean_inputs() {
         let items: Vec<u64> = (0..257).collect();
         let ok = try_map(3, 10, &items, |&x| x.wrapping_mul(7)).unwrap();
-        let plain = par_map(&items, |&x| x.wrapping_mul(7));
+        let plain = ScopedPool::default().map(&items, |&x| x.wrapping_mul(7));
         assert_eq!(ok, plain);
     }
 
@@ -553,13 +479,13 @@ mod tests {
     fn seeded_work_is_thread_count_invariant() {
         use nbhd_types::rng::rng_from;
         use rand::Rng;
-        let items: Vec<u64> = (0..64).collect();
-        let draw = |i: usize, _: &u64| -> f64 {
-            let mut rng = rng_from(crate::child_seed(9, i as u64));
+        let indices: Vec<u64> = (0..64).collect();
+        let draw = |&i: &u64| -> f64 {
+            let mut rng = rng_from(crate::child_seed(9, i));
             rng.random()
         };
-        let serial = par_map_indexed_with(Parallelism::serial(), &items, draw);
-        let parallel = par_map_indexed_with(Parallelism::fixed(7), &items, draw);
+        let serial = ScopedPool::new(Parallelism::serial()).map(&indices, draw);
+        let parallel = ScopedPool::new(Parallelism::fixed(7)).map(&indices, draw);
         assert_eq!(serial, parallel);
     }
 }

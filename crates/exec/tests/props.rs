@@ -2,7 +2,7 @@
 //! output always equals sequential output, element for element, under any
 //! chunk size and worker count.
 
-use nbhd_exec::{par_map_chunked, par_map_indexed_with, Parallelism};
+use nbhd_exec::{par_map_chunked, Parallelism, ScopedPool};
 use proptest::prelude::*;
 
 proptest! {
@@ -18,13 +18,13 @@ proptest! {
     }
 
     #[test]
-    fn indexed_map_is_worker_count_invariant(
+    fn pool_map_is_worker_count_invariant(
         items in prop::collection::vec(any::<i32>(), 0..200),
         workers in 1usize..9,
     ) {
-        let f = |i: usize, &x: &i32| (i as i64) * 1_000 + i64::from(x);
-        let serial = par_map_indexed_with(Parallelism::serial(), &items, f);
-        let parallel = par_map_indexed_with(Parallelism::fixed(workers), &items, f);
+        let f = |&x: &i32| i64::from(x) * 1_000 + i64::from(x.rotate_left(5));
+        let serial = ScopedPool::new(Parallelism::serial()).map(&items, f);
+        let parallel = ScopedPool::new(Parallelism::fixed(workers)).map(&items, f);
         prop_assert_eq!(serial, parallel);
     }
 

@@ -26,7 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shrink: 4,
         ..DetectorConfig::default()
     };
-    let outcome = train_baseline(&survey, train, detector_cfg, AugmentationPolicy::None)?;
+    let trainer = Trainer::new(train, detector_cfg);
+    let outcome = train_baseline(&survey, &trainer, AugmentationPolicy::None)?;
 
     println!("\nper-class AP50 on the test split:");
     for ind in Indicator::ALL {
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nnoise stress (paper Fig. 3 protocol):");
     for snr in [30.0f32, 20.0, 10.0, 5.0] {
-        let noisy = evaluate_with_noise(&outcome.detector, &survey, snr)?;
+        let noisy = evaluate_with_noise(&outcome.detector, &survey, snr, &trainer.pool())?;
         println!("  SNR {snr:>4} dB -> mAP50 {:.3}", noisy.map50);
     }
 

@@ -18,8 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.image_size = 160;
     let survey = SurveyPipeline::new(config).run()?;
 
-    let outcome = train_baseline(
-        &survey,
+    let trainer = Trainer::new(
         TrainConfig {
             epochs: 10,
             hard_negative_rounds: 1,
@@ -30,14 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             shrink: 4,
             ..DetectorConfig::default()
         },
-        AugmentationPolicy::None,
-    )?;
+    );
+    let outcome = train_baseline(&survey, &trainer, AugmentationPolicy::None)?;
+    let pool = trainer.pool();
     println!("clean mAP50 = {:.3}\n", outcome.report.map50);
 
     let mut series = Vec::new();
     println!("{:>6} {:>8} {:>10}", "SNR", "mAP50", "retention");
     for snr in [30.0f32, 25.0, 20.0, 15.0, 10.0, 5.0] {
-        let noisy = evaluate_with_noise(&outcome.detector, &survey, snr)?;
+        let noisy = evaluate_with_noise(&outcome.detector, &survey, snr, &pool)?;
         println!(
             "{snr:>4} dB {:>8.3} {:>10.3}",
             noisy.map50,

@@ -7,7 +7,7 @@
 # the committed BENCH_paper_tables.json), and the shard_run gate: clean and
 # poisoned shard processes, merged, verified against the single-process run
 # and diffed against it with run_diff. Last it prints the test count, the
-# Rust line count and its own wall time. A killed and resumed crash_resume
+# Rust line count, the non-test Rust line count and its own wall time. A killed and resumed crash_resume
 # run's journal is audited with journal_fsck as well.
 #
 # It runs in place on the checkout as committed: every dependency is a path
@@ -151,4 +151,8 @@ shard_gate poisoned 4 --poison-panic 0.1 --poison-corrupt 0.1
 echo "==> $PASSED workspace tests passed, 2 skipped by name"
 echo "==> rust lines in crates/ src/ tests/ examples/:" \
     "$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+echo "==> non-test rust lines (each file before its first #[cfg(test)], tests/ excluded):" \
+    "$(find crates src examples -name '*.rs' -not -path '*/tests/*' -print0 |
+        xargs -0 awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
+        awk '{ s += $1 } END { print s }')"
 echo "==> all checks passed in $(($(date +%s) - STARTED)) s"

@@ -67,8 +67,7 @@ fn sharded_serial_run_matches_unsharded_parallel_run() {
 fn trained_detector_is_worker_count_invariant() {
     let survey = smoke_survey(Parallelism::serial());
     let train = |parallelism| {
-        train_baseline(
-            &survey,
+        let trainer = Trainer::new(
             TrainConfig {
                 epochs: 4,
                 hard_negative_rounds: 1,
@@ -79,9 +78,8 @@ fn trained_detector_is_worker_count_invariant() {
                 shrink: 4,
                 ..DetectorConfig::default()
             },
-            AugmentationPolicy::None,
-        )
-        .expect("training")
+        );
+        train_baseline(&survey, &trainer, AugmentationPolicy::None).expect("training")
     };
     let serial = train(Parallelism::serial());
     let parallel = train(Parallelism::fixed(4));

@@ -15,8 +15,7 @@ fn survey_to_detector_to_llms() {
     assert!(!split.train.is_empty() && !split.val.is_empty() && !split.test.is_empty());
 
     // 2. supervised baseline
-    let outcome = train_baseline(
-        &survey,
+    let trainer = Trainer::new(
         TrainConfig {
             epochs: 6,
             hard_negative_rounds: 1,
@@ -26,9 +25,8 @@ fn survey_to_detector_to_llms() {
             shrink: 4,
             ..DetectorConfig::default()
         },
-        AugmentationPolicy::None,
-    )
-    .unwrap();
+    );
+    let outcome = train_baseline(&survey, &trainer, AugmentationPolicy::None).unwrap();
     assert!(
         outcome.report.map50 > 0.05,
         "mAP50 {:.3}",
