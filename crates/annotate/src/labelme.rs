@@ -85,7 +85,8 @@ impl LabelMeDoc {
     /// # Errors
     ///
     /// Returns [`Error::Parse`] for unknown labels, non-rectangle shapes,
-    /// malformed points, or an image path that does not encode an image id.
+    /// malformed or non-finite points, or an image path that does not
+    /// encode an image id.
     pub fn to_labels(&self) -> Result<ImageLabels> {
         let image = parse_image_path(&self.image_path)?;
         let mut labels = ImageLabels::new(image);
@@ -112,6 +113,7 @@ impl LabelMeDoc {
             );
             labels.push(ObjectLabel::new(indicator, bbox));
         }
+        labels.check_boxes().map_err(Error::parse)?;
         Ok(labels)
     }
 
@@ -237,5 +239,19 @@ mod tests {
         assert_eq!(labels.image.heading, Heading::West);
         assert_eq!(labels.objects[0].indicator, Indicator::Powerline);
         assert_eq!(labels.objects[0].bbox.w, 640.0);
+    }
+
+    #[test]
+    fn rejects_corners_that_overflow_f32() {
+        for corner in ["1e39", "-1e39"] {
+            let json = format!(
+                r#"{{"version": "5.2.1", "shapes": [{{"label": "powerline",
+                    "points": [[0.0, 20.0], [{corner}, 180.0]], "shape_type": "rectangle"}}],
+                    "imagePath": "loc-000099@270.png", "imageHeight": 640, "imageWidth": 640}}"#
+            );
+            let doc = LabelMeDoc::from_json(&json).unwrap();
+            let err = doc.to_labels().unwrap_err();
+            assert!(matches!(err, Error::Parse(_)), "corner {corner}: {err}");
+        }
     }
 }

@@ -110,6 +110,22 @@ pub struct BreakerSnapshot {
     pub fail_fast: u64,
 }
 
+impl BreakerSnapshot {
+    /// The counters a breaker publishes, as `(metric suffix, value)` pairs:
+    /// total transitions, fail-fast rejections, each edge, and flaps.
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("transitions", self.transitions),
+            ("fail_fast", self.fail_fast),
+            ("opened", self.edges.opened),
+            ("probed", self.edges.probed),
+            ("reclosed", self.edges.reclosed),
+            ("reopened", self.edges.reopened),
+            ("flaps", self.edges.flaps()),
+        ]
+    }
+}
+
 #[derive(Debug)]
 struct BreakerInner {
     state: BreakerState,

@@ -96,10 +96,9 @@ pub struct Ensemble {
     resilience: ResilienceConfig,
     survey_seed: u64,
     faults: FaultProfile,
-    clock: Arc<VirtualClock>,
     meter: Arc<CostMeter>,
     checkpoint: Option<Arc<dyn CheckpointStore>>,
-    obs: Option<Obs>,
+    obs: Obs,
 }
 
 struct Member {
@@ -171,7 +170,9 @@ impl Ensemble {
     /// Builds an ensemble over model profiles; `voting` selects which
     /// members participate in the vote (the paper votes Gemini, Claude,
     /// and Grok). No chaos schedule or breaker is installed — see
-    /// [`Ensemble::with_resilience`].
+    /// [`Ensemble::with_resilience`]. The ensemble owns a fresh
+    /// observability bundle, whose clock is its accounting clock; see
+    /// [`Ensemble::with_obs`].
     pub fn new(
         profiles: Vec<(ModelProfile, bool)>,
         survey_seed: u64,
@@ -184,16 +185,16 @@ impl Ensemble {
             resilience: ResilienceConfig::default(),
             survey_seed,
             faults,
-            clock: Arc::new(VirtualClock::new()),
             meter: Arc::new(CostMeter::new()),
             checkpoint: None,
-            obs: None,
+            obs: Obs::new(),
         }
         .rebuild(profiles)
     }
 
     /// Builds one member per profile, in order, each with its decorator
-    /// stack over the ensemble's seed, faults, resilience and clock.
+    /// stack over the ensemble's seed, faults, resilience and its bundle's
+    /// clock.
     fn rebuild(mut self, profiles: impl IntoIterator<Item = (ModelProfile, bool)>) -> Ensemble {
         self.members = profiles
             .into_iter()
@@ -206,7 +207,7 @@ impl Ensemble {
                     self.survey_seed,
                     self.faults,
                     &self.resilience,
-                    &self.clock,
+                    self.obs.clock(),
                 )
             })
             .collect();
@@ -237,15 +238,16 @@ impl Ensemble {
         self.rebuild(profiles)
     }
 
-    /// Attaches the run's observability bundle. The ensemble adopts the
-    /// obs virtual clock as its accounting clock (rebuilding each
-    /// member's transport decorators, which capture the clock), opens a
-    /// `vote-<model>` span per member batch, and publishes cost-meter
-    /// and breaker counters into the obs registry after each survey.
+    /// Swaps the ensemble's own fresh bundle for the run's. The ensemble
+    /// adopts the bundle's virtual clock as its accounting clock
+    /// (rebuilding each member's transport decorators, which capture the
+    /// clock), opens a `vote-<model>` span per member batch, and publishes
+    /// cost-meter and breaker counters into the bundle's registry after
+    /// each survey. A clone of the bundle is the same bundle: the ensemble
+    /// must not survey while another user of it opens spans.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Ensemble {
-        self.clock = Arc::clone(obs.clock());
-        self.obs = Some(obs);
+        self.obs = obs;
         let profiles: Vec<_> = self
             .members
             .drain(..)
@@ -255,32 +257,17 @@ impl Ensemble {
     }
 
     /// Publishes the cost meter and per-member breaker bookkeeping into
-    /// the obs registry. Breaker counters are wall metrics: whether and
-    /// when a breaker trips depends on request scheduling.
-    fn publish_metrics(&self, obs: &Obs) {
-        self.meter.publish(obs.registry());
+    /// the bundle's registry. Breaker counters are wall metrics: whether
+    /// and when a breaker trips depends on request scheduling.
+    fn publish_metrics(&self) {
+        let registry = self.obs.registry();
+        self.meter.publish(registry);
         for member in &self.members {
             if let Some(breaker) = &member.breaker {
-                let snap = breaker.breaker().snapshot();
-                obs.registry().set_wall(
-                    &format!("breaker.{}.transitions", member.profile.name),
-                    snap.transitions,
-                );
-                obs.registry().set_wall(
-                    &format!("breaker.{}.fail_fast", member.profile.name),
-                    snap.fail_fast,
-                );
                 let name = &member.profile.name;
-                obs.registry()
-                    .set_wall(&format!("breaker.{name}.opened"), snap.edges.opened);
-                obs.registry()
-                    .set_wall(&format!("breaker.{name}.probed"), snap.edges.probed);
-                obs.registry()
-                    .set_wall(&format!("breaker.{name}.reclosed"), snap.edges.reclosed);
-                obs.registry()
-                    .set_wall(&format!("breaker.{name}.reopened"), snap.edges.reopened);
-                obs.registry()
-                    .set_wall(&format!("breaker.{name}.flaps"), snap.edges.flaps());
+                for (suffix, value) in breaker.breaker().snapshot().counters() {
+                    registry.set_wall(&format!("breaker.{name}.{suffix}"), value);
+                }
             }
         }
     }
@@ -306,9 +293,12 @@ impl Ensemble {
         &self.meter
     }
 
-    /// The shared virtual clock.
+    /// The accounting clock: the bundle's virtual clock, which every
+    /// member's decorators and executor read. It is shared with whatever
+    /// else uses the bundle, so a run's virtual time is the difference of
+    /// two readings, not one reading.
     pub fn clock(&self) -> &Arc<VirtualClock> {
-        &self.clock
+        self.obs.clock()
     }
 
     /// Attempts that would have hit the real API for `model`: counted at
@@ -393,8 +383,8 @@ impl Ensemble {
         for member in &self.members {
             let vote_stage = self
                 .obs
-                .as_ref()
-                .map(|obs| obs.tracer().enter(&format!("vote-{}", member.profile.name)));
+                .tracer()
+                .enter(&format!("vote-{}", member.profile.name));
             // replay journaled votes; only the rest go to the transport
             let replayed = contexts
                 .iter()
@@ -419,17 +409,14 @@ impl Ensemble {
             let results = if pending.is_empty() {
                 Vec::new()
             } else {
-                let mut executor =
-                    BatchExecutor::new(Arc::clone(&member.transport), self.config.clone())
-                        .with_accounting(Arc::clone(&self.clock), Arc::clone(&self.meter))
-                        .with_pricing(
-                            member.profile.usd_per_1k_input,
-                            member.profile.usd_per_1k_output,
-                        );
-                if let Some(obs) = &self.obs {
-                    executor = executor.with_obs(obs.clone());
-                }
-                executor.run(pending)
+                BatchExecutor::new(Arc::clone(&member.transport), self.config.clone())
+                    .with_accounting(Arc::clone(self.obs.clock()), Arc::clone(&self.meter))
+                    .with_pricing(
+                        member.profile.usd_per_1k_input,
+                        member.profile.usd_per_1k_output,
+                    )
+                    .with_obs(self.obs.clone())
+                    .run(pending)
             };
             let mut fresh = results.into_iter();
 
@@ -493,13 +480,9 @@ impl Ensemble {
                     transport_failures,
                 },
             );
-            if let Some(stage) = vote_stage {
-                stage.record();
-            }
+            vote_stage.record();
         }
-        if let Some(obs) = &self.obs {
-            self.publish_metrics(obs);
-        }
+        self.publish_metrics();
 
         let mut voted = Vec::with_capacity(contexts.len());
         let mut provenance = Vec::new();

@@ -57,11 +57,12 @@ pub struct BatchExecutor {
     clock: Arc<VirtualClock>,
     meter: Arc<CostMeter>,
     pricing: (f64, f64),
-    obs: Option<Obs>,
+    obs: Obs,
 }
 
 impl BatchExecutor {
-    /// Creates an executor with its own clock and meter.
+    /// Creates an executor with its own clock, meter and fresh
+    /// observability bundle.
     pub fn new(transport: Arc<dyn Transport>, config: ExecutorConfig) -> BatchExecutor {
         BatchExecutor {
             transport,
@@ -69,7 +70,7 @@ impl BatchExecutor {
             clock: Arc::new(VirtualClock::new()),
             meter: Arc::new(CostMeter::new()),
             pricing: (0.0, 0.0),
-            obs: None,
+            obs: Obs::new(),
         }
     }
 
@@ -81,15 +82,15 @@ impl BatchExecutor {
         self
     }
 
-    /// Attaches a run observability bundle: every batch records a
-    /// `batch-<model>` stage span and the fan-out's execution counters
-    /// land in the bundle's registry. Does not touch the accounting
-    /// clock — share that via [`BatchExecutor::with_accounting`]
+    /// Swaps the executor's own fresh bundle for the run's: every batch
+    /// records a `batch-<model>` stage span and the fan-out's execution
+    /// counters land in the bundle's registry. Does not touch the
+    /// accounting clock — share that via [`BatchExecutor::with_accounting`]
     /// (callers that want spans stamped in batch time pass an `Obs`
     /// built over the same clock).
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = Some(obs);
+        self.obs = obs;
         self
     }
 
@@ -125,14 +126,12 @@ impl BatchExecutor {
             .rate_limit
             .map(|(cap, rate)| TokenBucket::new(cap, rate, self.clock.clone()));
 
-        let stage = self.obs.as_ref().map(|obs| {
-            obs.tracer()
-                .enter(&format!("batch-{}", self.transport.model_name()))
-        });
-        let mut pool = ScopedPool::new(self.config.parallelism);
-        if let Some(obs) = &self.obs {
-            pool = pool.with_metrics(Arc::clone(obs.registry()));
-        }
+        let stage = self
+            .obs
+            .tracer()
+            .enter(&format!("batch-{}", self.transport.model_name()));
+        let pool =
+            ScopedPool::new(self.config.parallelism).with_metrics(Arc::clone(self.obs.registry()));
         let results = pool.map(&requests, |request| {
             if let Some(bucket) = &bucket {
                 bucket.acquire_blocking();
@@ -184,9 +183,7 @@ impl BatchExecutor {
                 }
             }
         });
-        if let Some(stage) = stage {
-            stage.record();
-        }
+        stage.record();
         results
     }
 }

@@ -201,7 +201,7 @@ pub struct RunReport {
 /// accounting counters land in the bundle's [`nbhd_obs::MetricsRegistry`],
 /// and completed spans are journaled through `store` (kind
 /// [`nbhd_obs::SPAN_RECORD_KIND`]) so a resumed run never duplicates a span
-/// key. Pass `&Obs::default()` when nothing reads the bundle: the
+/// key. Pass a fresh `&Obs::default()` when nothing reads the bundle: the
 /// [`RunReport`] is identical to an observed run, and the bundle's
 /// deterministic surface (virtual-time span tree + deterministic counters)
 /// is byte-identical at any worker count.

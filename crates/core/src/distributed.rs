@@ -151,7 +151,7 @@ pub fn run_shard_distributed(
         policy,
         poison,
         store.as_ref(),
-        Some(&obs),
+        &obs,
     )?;
     let pass = passes.remove(0);
     let report = build_report(vec![pass.coverage]);

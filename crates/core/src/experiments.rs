@@ -49,27 +49,27 @@ pub struct PaperExperiments {
     survey: SurveyDataset,
     baseline: OnceLock<BaselineOutcome>,
     default_llm: OnceLock<LlmSurveyOutcome>,
-    obs: Option<Obs>,
+    obs: Obs,
 }
 
 impl PaperExperiments {
-    /// Creates the harness.
+    /// Creates the harness with its own fresh observability bundle.
     pub fn new(survey: SurveyDataset) -> PaperExperiments {
         PaperExperiments {
             survey,
             baseline: OnceLock::new(),
             default_llm: OnceLock::new(),
-            obs: None,
+            obs: Obs::new(),
         }
     }
 
-    /// Observes the baseline's fit: its trainer records its stage spans
-    /// and counters (the scan's window counts among them) into `obs`, and
-    /// f3's evaluations and c1's classifier record their execution
-    /// counters there too.
+    /// Swaps the harness's own fresh bundle for the run's: the baseline's
+    /// trainer records its stage spans and counters (the scan's window
+    /// counts among them) into `obs`, and f3's evaluations and c1's
+    /// classifier record their execution counters there too.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> PaperExperiments {
-        self.obs = Some(obs);
+        self.obs = obs;
         self
     }
 
@@ -96,16 +96,12 @@ impl PaperExperiments {
         (train, detector)
     }
 
-    /// The trainer [`Self::train_configs`] describes, observed when the
-    /// harness is. Its pool is the one every detector experiment fits and
+    /// The trainer [`Self::train_configs`] describes, on the harness's
+    /// bundle. Its pool is the one every detector experiment fits and
     /// evaluates on.
     fn trainer(&self) -> Trainer {
         let (train, det) = self.train_configs();
-        let trainer = Trainer::new(train, det);
-        match &self.obs {
-            Some(obs) => trainer.with_obs(obs.clone()),
-            None => trainer,
-        }
+        Trainer::new(train, det).with_obs(self.obs.clone())
     }
 
     /// The trained baseline (cached).
@@ -181,8 +177,8 @@ impl PaperExperiments {
         // the ablation affordable. The un-augmented arm is retrained under
         // the same budget so the three columns differ only in augmentation.
         train.hard_negative_rounds = train.hard_negative_rounds.min(1);
-        // unobserved: the harness runs experiments concurrently, and a fit
-        // enters spans, which only the orchestrating thread may do
+        // its own bundle, not the harness's: the harness runs experiments
+        // concurrently, and a fit enters spans on its bundle's one stack
         let trainer = Trainer::new(train, det);
         let base = train_baseline(&self.survey, &trainer, AugmentationPolicy::None)?;
         let rot = train_baseline(&self.survey, &trainer, AugmentationPolicy::Rotations)?;

@@ -57,7 +57,8 @@ pub struct LlmSurveyOutcome {
     pub cost_report: String,
     /// Total simulated dollars spent.
     pub total_usd: f64,
-    /// Virtual wall-clock consumed, milliseconds.
+    /// Virtual wall-clock this survey consumed, milliseconds: the
+    /// ensemble clock's advance over the survey, whatever it read before.
     pub virtual_ms: u64,
     /// Per-model health (availability, breaker activity, resilience
     /// counters).
@@ -77,14 +78,15 @@ pub fn run_llm_survey(
     ids: &[ImageId],
     config: &LlmSurveyConfig,
 ) -> Result<LlmSurveyOutcome> {
-    run_llm_survey_inner(survey, models, ids, config, None)
+    run_llm_survey_observed(survey, models, ids, config, &nbhd_obs::Obs::new())
 }
 
 /// [`run_llm_survey`] under a caller-supplied observability bundle: the
 /// ensemble adopts the bundle's virtual clock, opens a `vote-<model>`
 /// span per member batch, and publishes per-model accounting — counters,
 /// gauges, and the latency/token histograms — into the bundle's
-/// registry. The [`LlmSurveyOutcome`] is identical to an unobserved run.
+/// registry. The [`LlmSurveyOutcome`] is identical to a run on a fresh
+/// bundle, also when `obs` has run surveys before.
 ///
 /// # Errors
 ///
@@ -96,29 +98,18 @@ pub fn run_llm_survey_observed(
     config: &LlmSurveyConfig,
     obs: &nbhd_obs::Obs,
 ) -> Result<LlmSurveyOutcome> {
-    run_llm_survey_inner(survey, models, ids, config, Some(obs))
-}
-
-fn run_llm_survey_inner(
-    survey: &SurveyDataset,
-    models: Vec<(ModelProfile, bool)>,
-    ids: &[ImageId],
-    config: &LlmSurveyConfig,
-    obs: Option<&nbhd_obs::Obs>,
-) -> Result<LlmSurveyOutcome> {
     let contexts = survey.contexts(ids)?;
     let truth: Vec<IndicatorSet> = contexts.iter().map(|c| c.presence).collect();
-    let mut ensemble = Ensemble::new(
+    let ensemble = Ensemble::new(
         models,
         survey.config().seed,
         config.faults,
         config.executor.clone(),
     )
-    .with_resilience(config.resilience.clone());
-    if let Some(obs) = obs {
-        ensemble = ensemble.with_obs(obs.clone());
-    }
+    .with_resilience(config.resilience.clone())
+    .with_obs(obs.clone());
     let prompt = Prompt::build(config.language, config.mode);
+    let started_ms = ensemble.clock().now_ms();
     let outcome = ensemble.survey(&contexts, &prompt, &config.params);
 
     let mut tables = BTreeMap::new();
@@ -140,7 +131,7 @@ fn run_llm_survey_inner(
         voted_table: voted_eval.table(),
         cost_report: ensemble.meter().report(),
         total_usd: ensemble.meter().total_usd(),
-        virtual_ms: ensemble.clock().now_ms(),
+        virtual_ms: ensemble.clock().now_ms() - started_ms,
         health: ensemble.health_report(),
         ensemble: outcome,
     })
@@ -192,6 +183,7 @@ mod tests {
             run_llm_survey_observed(&survey, paper_lineup(), &ids, &config, &obs).unwrap();
         assert_eq!(plain.ensemble.voted, observed.ensemble.voted);
         assert_eq!(plain.truth, observed.truth);
+        assert_eq!(plain.virtual_ms, observed.virtual_ms);
         let snap = obs.registry().snapshot();
         let lat = &snap.histograms["client.gemini-1.5-pro.latency_ms"];
         assert_eq!(lat.count(), ids.len() as u64);
@@ -203,6 +195,11 @@ mod tests {
             .spans()
             .iter()
             .any(|s| s.name.starts_with("vote-")));
+        // a second survey on the same bundle reports its own virtual time,
+        // not the clock's running total
+        let again = run_llm_survey_observed(&survey, paper_lineup(), &ids, &config, &obs).unwrap();
+        assert_eq!(plain.ensemble.voted, again.ensemble.voted);
+        assert_eq!(plain.virtual_ms, again.virtual_ms);
     }
 
     #[test]

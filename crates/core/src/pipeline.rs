@@ -24,22 +24,26 @@ use crate::{run_supervised, CoverageReport, SupervisePolicy, SurveyConfig};
 #[derive(Debug, Clone)]
 pub struct SurveyPipeline {
     config: SurveyConfig,
-    obs: Option<Obs>,
+    obs: Obs,
 }
 
 impl SurveyPipeline {
-    /// Creates the pipeline.
+    /// Creates the pipeline with its own fresh observability bundle.
     pub fn new(config: SurveyConfig) -> SurveyPipeline {
-        SurveyPipeline { config, obs: None }
+        SurveyPipeline {
+            config,
+            obs: Obs::new(),
+        }
     }
 
-    /// Attaches the run's observability bundle: the survey records its
-    /// `shard-0` span, execution counters and shard metrics, and the
-    /// imagery usage meter publishes into the bundle's registry when the
-    /// pass completes. Does not affect the dataset.
+    /// Swaps the pipeline's own fresh bundle for the run's: the survey
+    /// records its `shard-0` span, execution counters and shard metrics,
+    /// and the imagery usage meter publishes into the bundle's registry
+    /// when the pass completes. Does not affect the dataset. A clone of the
+    /// pipeline shares its bundle, so the two must not run at once.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> SurveyPipeline {
-        self.obs = Some(obs);
+        self.obs = obs;
         self
     }
 
@@ -73,12 +77,10 @@ impl SurveyPipeline {
             SupervisePolicy::default(),
             None,
             store,
-            self.obs.as_ref(),
+            Some(&self.obs),
         )?
         .into_survey();
-        if let Some(obs) = &self.obs {
-            survey.imagery_usage().publish(obs.registry());
-        }
+        survey.imagery_usage().publish(self.obs.registry());
         Ok(survey)
     }
 }

@@ -59,7 +59,7 @@ pub struct ShardedOutcome {
     pub(crate) survey: SurveyDataset,
     pub(crate) sample: SurveySample,
     pub(crate) plan: ShardPlan,
-    pub(crate) obs: Option<Obs>,
+    pub(crate) obs: Obs,
     pub(crate) peak_resident_scenes: usize,
     pub(crate) shard_images: Vec<usize>,
 }
@@ -134,22 +134,20 @@ impl ShardedOutcome {
     /// Trains a detector over the shard stream, never materializing the
     /// whole training set's pixels. [`Trainer::fit`] over the merged
     /// dataset is the one-shard case of the same fit, so the weights do not
-    /// depend on the shard count.
+    /// depend on the shard count. The fit and the coverage gauge record into
+    /// the run's bundle.
     ///
     /// # Errors
     ///
     /// Propagates training failures.
     pub fn train_sharded(&self, train: TrainConfig, detector: DetectorConfig) -> Result<Detector> {
-        let mut trainer = Trainer::new(train, detector);
-        if let Some(obs) = &self.obs {
-            trainer = trainer.with_obs(obs.clone());
-            // a partial survey trains on what it has; the gauge makes the
-            // shortfall part of the training run's observable identity
-            obs.registry().set_gauge(
-                crate::COVERAGE_FRACTION_GAUGE,
-                self.survey.coverage_fraction(),
-            );
-        }
+        let trainer = Trainer::new(train, detector).with_obs(self.obs.clone());
+        // a partial survey trains on what it has; the gauge makes the
+        // shortfall part of the training run's observable identity
+        self.obs.registry().set_gauge(
+            crate::COVERAGE_FRACTION_GAUGE,
+            self.survey.coverage_fraction(),
+        );
         let source = self.shard_source();
         let split = self.survey.dataset().split();
         let size = self.survey.dataset().image_size();
@@ -224,15 +222,32 @@ mod tests {
     use crate::{run_supervised, SupervisePolicy, SurveyConfig, SurveyPipeline};
     use nbhd_journal::{CheckpointStore, MemoryStore};
 
-    /// The plain stream: default policy, no poison.
+    /// The plain stream: default policy, no poison, on a fresh bundle.
     fn stream(
         config: &SurveyConfig,
         shards: usize,
         store: Option<Arc<dyn CheckpointStore>>,
-        obs: Option<&Obs>,
+    ) -> ShardedOutcome {
+        observed_stream(config, shards, store, &Obs::new())
+    }
+
+    /// The plain stream on the caller's bundle.
+    fn observed_stream(
+        config: &SurveyConfig,
+        shards: usize,
+        store: Option<Arc<dyn CheckpointStore>>,
+        obs: &Obs,
     ) -> ShardedOutcome {
         let plan = ShardPlan::new(shards).unwrap();
-        run_supervised(config, plan, SupervisePolicy::default(), None, store, obs).unwrap()
+        run_supervised(
+            config,
+            plan,
+            SupervisePolicy::default(),
+            None,
+            store,
+            Some(obs),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -240,7 +255,7 @@ mod tests {
         let config = SurveyConfig::smoke(51);
         let unsharded = SurveyPipeline::new(config.clone()).run().unwrap();
         for shards in [1usize, 2, 4] {
-            let outcome = stream(&config, shards, None, None);
+            let outcome = stream(&config, shards, None);
             assert_eq!(
                 outcome.survey().dataset(),
                 unsharded.dataset(),
@@ -266,7 +281,7 @@ mod tests {
     #[test]
     fn sharding_bounds_peak_resident_scenes() {
         let config = SurveyConfig::smoke(52);
-        let outcome = stream(&config, 4, None, None);
+        let outcome = stream(&config, 4, None);
         let total = outcome.survey().images().len();
         let largest = *outcome.shard_images().iter().max().unwrap();
         assert!(largest < total, "four shards must each be a strict subset");
@@ -282,8 +297,8 @@ mod tests {
     fn sharded_run_publishes_shard_metrics() {
         let config = SurveyConfig::smoke(52);
         let obs = Obs::default();
-        let plain = stream(&config, 3, None, None);
-        let observed = stream(&config, 3, None, Some(&obs));
+        let plain = stream(&config, 3, None);
+        let observed = observed_stream(&config, 3, None, &obs);
         assert_eq!(
             plain.survey().dataset(),
             observed.survey().dataset(),
@@ -312,16 +327,16 @@ mod tests {
     #[test]
     fn journaled_shards_replay_on_resume() {
         let config = SurveyConfig::smoke(53);
-        let fresh = stream(&config, 3, None, None);
+        let fresh = stream(&config, 3, None);
 
         let store: Arc<dyn CheckpointStore> = Arc::new(MemoryStore::new());
-        let first = stream(&config, 3, Some(Arc::clone(&store)), None);
+        let first = stream(&config, 3, Some(Arc::clone(&store)));
         assert_eq!(first.survey().dataset(), fresh.survey().dataset());
         assert_eq!(first.billed_images(), fresh.billed_images());
 
         // a resumed run replays every shard record: same dataset, same
         // whole-run billing, no new fees
-        let resumed = stream(&config, 3, Some(store), None);
+        let resumed = stream(&config, 3, Some(store));
         assert_eq!(resumed.survey().dataset(), fresh.survey().dataset());
         assert_eq!(resumed.billed_images(), fresh.billed_images());
         assert_eq!(
@@ -348,7 +363,7 @@ mod tests {
             .run_with_store(Some(Arc::clone(&store)))
             .unwrap();
 
-        let resumed = stream(&config, 4, Some(store), None);
+        let resumed = stream(&config, 4, Some(store));
         assert_eq!(resumed.survey().dataset(), unsharded.dataset());
         assert_eq!(
             resumed.billed_images(),
@@ -368,7 +383,7 @@ mod tests {
         let config = SurveyConfig::smoke(56);
         let journaled: Arc<dyn CheckpointStore> = Arc::new(MemoryStore::new());
         for store in [None, Some(journaled)] {
-            let outcome = stream(&config, 3, store, None);
+            let outcome = stream(&config, 3, store);
             let source = outcome.shard_source();
             for shard in 0..source.shards() {
                 let data = source.load(shard).unwrap();
@@ -385,7 +400,7 @@ mod tests {
     #[test]
     fn sharded_training_matches_eager_training() {
         let config = SurveyConfig::smoke(55);
-        let outcome = stream(&config, 3, None, None);
+        let outcome = stream(&config, 3, None);
         let train = TrainConfig {
             epochs: 2,
             hard_negative_rounds: 1,

@@ -44,7 +44,7 @@ use nbhd_gsv::{journaled_scenes, ImageRequest, PoisonSchedule, StreetViewService
 use nbhd_journal::{CheckpointStore, Replayable};
 use nbhd_obs::{MetricsRegistry, Obs, VirtualClock};
 use nbhd_types::rng::child_seed;
-use nbhd_types::{Error, Heading, ImageId, ImageLabels, Indicator, LocationId, Result};
+use nbhd_types::{Error, Heading, ImageId, ImageLabels, IndicatorMap, LocationId, Result};
 use serde::{Deserialize, Serialize};
 
 use crate::shard::{merge_shard_annotations, ShardedOutcome};
@@ -93,9 +93,9 @@ pub const SHARD_OUTCOME_TIMED_OUT_METRIC: &str = "core.shard.outcome.timed_out";
 pub const COVERAGE_FRACTION_GAUGE: &str = "core.coverage.fraction";
 
 /// Counter prefix for per-class prevalence: the full metric name is the
-/// prefix plus an [`Indicator::label_key`] plus `.images`, counting the
-/// annotated images in which that indicator appears at least once. The
-/// counters are additive so a distributed run's shard values sum to the
+/// prefix plus an [`nbhd_types::Indicator::label_key`] plus `.images`,
+/// counting the annotated images in which that indicator appears at least
+/// once. The counters are additive so a distributed run's shard values sum to the
 /// single-process totals.
 pub const CLASS_IMAGE_PREFIX: &str = "core.class.";
 
@@ -447,7 +447,7 @@ impl Replayable for CompletedShard {
             if plan.assign(labels.image.location) != shard {
                 return Err(format!("labels are for {}", labels.image));
             }
-            check_boxes(labels)?;
+            labels.check_boxes()?;
         }
         Ok(())
     }
@@ -466,7 +466,7 @@ impl Replayable for CaptureRecord {
         if self.0.image.to_string() != key {
             return Err(format!("labels are for {}", self.0.image));
         }
-        check_boxes(&self.0)
+        self.0.check_boxes()
     }
 }
 
@@ -524,22 +524,6 @@ fn capture_unit(
         Ok(CaptureRecord(labeler.annotate(&truth, image_size)))
     })?;
     Ok(labels)
-}
-
-/// Checks journaled labels before they can reach the dataset: a box that
-/// is non-finite or has a negative size is a bad record, never a silent
-/// misparse.
-fn check_boxes(labels: &ImageLabels) -> std::result::Result<(), String> {
-    for (i, object) in labels.objects.iter().enumerate() {
-        let b = object.bbox;
-        if ![b.x, b.y, b.w, b.h].iter().all(|v| v.is_finite()) || b.w < 0.0 || b.h < 0.0 {
-            return Err(format!(
-                "{}: object {i}: non-finite or negative-size box",
-                labels.image
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// One capture-annotate unit under the panic catcher: a total function from
@@ -600,10 +584,11 @@ fn save_attempt(
 /// services (the post-merge service is clean — quarantined locations are
 /// excluded from the dataset, never re-fetched). With a `store`, completed
 /// shards and units replay on resume and quarantined locations are **never
-/// re-executed**. With an `obs`, each shard runs under a `shard-{i}` span
-/// with one [`crate::SHARD_WALL_MS_HIST`] sample, the run publishes the
-/// shard, quarantine and outcome counters, the peak and coverage gauges
-/// and the class counts, and watchdog time runs on the bundle's clock.
+/// re-executed**. Each shard runs under a `shard-{i}` span with one
+/// [`crate::SHARD_WALL_MS_HIST`] sample, the run publishes the shard,
+/// quarantine and outcome counters, the peak and coverage gauges and the
+/// class counts, and watchdog time runs on the bundle's clock: `obs`'s, or
+/// a fresh one the outcome keeps when `obs` is `None`.
 ///
 /// # Errors
 ///
@@ -618,6 +603,7 @@ pub fn run_supervised(
     store: Option<Arc<dyn CheckpointStore>>,
     obs: Option<&Obs>,
 ) -> Result<ShardedOutcome> {
+    let obs = obs.cloned().unwrap_or_default();
     let (sample, passes, paid) = drive_shards(
         config,
         plan,
@@ -625,7 +611,7 @@ pub fn run_supervised(
         policy,
         poison,
         store.as_ref(),
-        obs,
+        &obs,
     )?;
     let peak = passes
         .iter()
@@ -652,9 +638,7 @@ pub fn run_supervised(
     }
     let annotations = merge_shard_annotations(batches);
     let report = build_report(coverages);
-    if let Some(obs) = obs {
-        publish(obs.registry(), &report, peak, &annotations);
-    }
+    publish(obs.registry(), &report, peak, &annotations);
     let dataset = LabeledDataset::build(
         annotations,
         config.image_size,
@@ -667,7 +651,7 @@ pub fn run_supervised(
         survey,
         sample,
         plan,
-        obs: obs.cloned(),
+        obs,
         peak_resident_scenes: peak,
         shard_images,
     })
@@ -705,10 +689,11 @@ struct Journaled {
 /// [`crate::run_shard_distributed`] (one shard in its own process).
 /// Validates the config and policy, draws the sample, decodes the store's
 /// journaled fees, quarantine facts and attempt ledger, and builds the
-/// labeler, pool and watchdog clock once; then runs each shard in `shards`
-/// under its `shard-{i}` span with one wall-time sample per shard, handing
-/// it the journaled records of its own locations. Returns the sample, the
-/// passes and every journaled scene.
+/// labeler and the pool (counting into `obs`) once; then runs each shard in
+/// `shards` under its `shard-{i}` span with one wall-time sample per shard
+/// and watchdog time on `obs`'s clock, handing it the journaled records of
+/// its own locations. Returns the sample, the passes and every journaled
+/// scene.
 pub(crate) fn drive_shards(
     config: &SurveyConfig,
     plan: ShardPlan,
@@ -716,7 +701,7 @@ pub(crate) fn drive_shards(
     policy: SupervisePolicy,
     poison: Option<PoisonSchedule>,
     store: Option<&Arc<dyn CheckpointStore>>,
-    obs: Option<&Obs>,
+    obs: &Obs,
 ) -> Result<(SurveySample, Vec<ShardPass>, Scenes)> {
     config.validate()?;
     policy.validate()?;
@@ -727,13 +712,7 @@ pub(crate) fn drive_shards(
         config.seed,
     )?;
     let labeler = HumanLabeler::new(config.labeler_profile(), child_seed(config.seed, "labeler"));
-    let mut pool = ScopedPool::new(config.parallelism);
-    if let Some(obs) = obs {
-        pool = pool.with_metrics(Arc::clone(obs.registry()));
-    }
-    let clock: Arc<VirtualClock> = obs
-        .map(|o| Arc::clone(o.clock()))
-        .unwrap_or_else(|| Arc::new(VirtualClock::new()));
+    let pool = ScopedPool::new(config.parallelism).with_metrics(Arc::clone(obs.registry()));
     let paid = match store {
         Some(store) => journaled_scenes(store.as_ref())?,
         None => Vec::new(),
@@ -758,18 +737,24 @@ pub(crate) fn drive_shards(
     let mut passes = Vec::with_capacity(shards.len());
     for shard in shards {
         let started = Instant::now();
-        let stage = obs.map(|o| o.tracer().enter(&format!("shard-{shard}")));
+        let stage = obs.tracer().enter(&format!("shard-{shard}"));
         let own = std::mem::take(&mut journaled[shard]);
         passes.push(run_shard_supervised(
-            config, &sample, plan, shard, policy, poison, &labeler, &pool, &clock, store, own,
+            config,
+            &sample,
+            plan,
+            shard,
+            policy,
+            poison,
+            &labeler,
+            &pool,
+            obs.clock(),
+            store,
+            own,
         )?);
-        if let Some(stage) = stage {
-            stage.record();
-        }
-        if let Some(obs) = obs {
-            obs.registry()
-                .record_wall_hist(SHARD_WALL_MS_HIST, started.elapsed().as_millis() as u64);
-        }
+        stage.record();
+        obs.registry()
+            .record_wall_hist(SHARD_WALL_MS_HIST, started.elapsed().as_millis() as u64);
     }
     Ok((sample, passes, paid))
 }
@@ -800,14 +785,18 @@ pub(crate) fn publish(
     );
     registry.set(SHARD_OUTCOME_TIMED_OUT_METRIC, timed_out as u64);
     registry.set_gauge(COVERAGE_FRACTION_GAUGE, report.fraction());
-    for indicator in Indicator::ALL {
-        let count = annotations
-            .iter()
-            .filter(|labels| labels.objects.iter().any(|o| o.indicator == indicator))
-            .count();
+    // one walk over the labels: every pass publishes, and six walks over
+    // a paper-scale survey cost more than the rest of the publish
+    let mut images = IndicatorMap::fill(0u64);
+    for labels in annotations {
+        for indicator in labels.presence() {
+            images[indicator] += 1;
+        }
+    }
+    for (indicator, &count) in images.iter() {
         registry.add(
             &format!("{CLASS_IMAGE_PREFIX}{}.images", indicator.label_key()),
-            count as u64,
+            count,
         );
     }
 }

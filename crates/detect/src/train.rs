@@ -144,7 +144,7 @@ pub struct Trainer {
     pub train: TrainConfig,
     /// Detector (inference-side) configuration.
     pub detector: DetectorConfig,
-    obs: Option<Obs>,
+    obs: Obs,
 }
 
 /// One mixture component's training pool.
@@ -155,36 +155,35 @@ struct ClassPool {
 }
 
 impl Trainer {
-    /// Creates a trainer from configs.
+    /// Creates a trainer from configs, with its own fresh observability
+    /// bundle; see [`Trainer::with_obs`].
     pub fn new(train: TrainConfig, detector: DetectorConfig) -> Self {
         Trainer {
             train,
             detector,
-            obs: None,
+            obs: Obs::new(),
         }
     }
 
-    /// Attaches the run's observability bundle: the harvest, each mining
-    /// round, each SGD pass (`sgd-0` for the initial fit, `sgd-{round+1}`
-    /// after each mining round), and calibration record stage spans, and
-    /// the fan-outs record execution counters into the bundle's registry.
-    /// Does not affect the trained weights.
+    /// Swaps the trainer's own fresh bundle for the run's: the harvest,
+    /// each mining round, each SGD pass (`sgd-0` for the initial fit,
+    /// `sgd-{round+1}` after each mining round), and calibration record
+    /// stage spans there, and the fan-outs record execution counters into
+    /// its registry. Does not affect the trained weights. A clone of the
+    /// trainer shares its bundle, so it must not fit while the original
+    /// does: one bundle has one span stack.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Trainer {
-        self.obs = Some(obs);
+        self.obs = obs;
         self
     }
 
     /// The worker pool this trainer fits on: [`TrainConfig::parallelism`]
-    /// workers, recording execution counters into the attached bundle's
+    /// workers, recording execution counters into the trainer's bundle's
     /// registry. Callers evaluate a fitted detector on it too, so a fit
     /// and its evaluation share one worker budget.
     pub fn pool(&self) -> ScopedPool {
-        let pool = ScopedPool::new(self.train.parallelism);
-        match &self.obs {
-            Some(obs) => pool.with_metrics(Arc::clone(obs.registry())),
-            None => pool,
-        }
+        ScopedPool::new(self.train.parallelism).with_metrics(Arc::clone(self.obs.registry()))
     }
 
     /// Trains on the dataset's train split, then calibrates per-class
@@ -244,7 +243,7 @@ impl Trainer {
         // Each image draws from its own seed and the chunks are pooled in
         // split.train order, so neither the worker count nor the shards
         // reach the SGD input. Integrals are dropped image by image.
-        let harvest_stage = self.obs.as_ref().map(|obs| obs.tracer().enter("harvest"));
+        let harvest_stage = self.obs.tracer().enter("harvest");
         let harvested = map_train(&pool, train_ids, source, |id, labels, provider| {
             let img = provider.image(id)?;
             let integral = detector.integral(&img);
@@ -260,9 +259,7 @@ impl Trainer {
             pool.features.push(feature);
             pool.labels.push(label);
         }
-        if let Some(stage) = harvest_stage {
-            stage.record();
-        }
+        harvest_stage.record();
 
         self.sgd(0, &mut detector, &pools, &mut rng, &pool);
 
@@ -275,10 +272,7 @@ impl Trainer {
         // the pools, refit. Each round re-fetches pixels and rebuilds the
         // integrals (compute is cheap to redo; memory is what we bound).
         for round in 0..self.train.hard_negative_rounds {
-            let mine_stage = self
-                .obs
-                .as_ref()
-                .map(|obs| obs.tracer().enter(&format!("mine-{round}")));
+            let mine_stage = self.obs.tracer().enter(&format!("mine-{round}"));
             let mined = map_train(&pool, train_ids, source, |id, labels, provider| {
                 let integral = detector.integral(&provider.image(id)?);
                 Ok(self.mine_image(&detector, &plan, &integral, labels, image_size))
@@ -293,9 +287,7 @@ impl Trainer {
                     added += 1;
                 }
             }
-            if let Some(stage) = mine_stage {
-                stage.record();
-            }
+            mine_stage.record();
             if added == 0 {
                 break;
             }
@@ -307,7 +299,7 @@ impl Trainer {
         // order-independent, so per-shard accumulation lands on the same
         // thresholds at any shard count.
         if !split.val.is_empty() {
-            let stage = self.obs.as_ref().map(|obs| obs.tracer().enter("calibrate"));
+            let stage = self.obs.tracer().enter("calibrate");
             let mut scored: IndicatorMap<Vec<(f32, bool)>> = IndicatorMap::from_fn(|_| Vec::new());
             let mut positives = IndicatorMap::fill(0usize);
             let mut covered = 0usize;
@@ -338,14 +330,12 @@ impl Trainer {
                 )));
             }
             self.sweep_thresholds(&mut detector, &scored, &positives);
-            if let Some(stage) = stage {
-                stage.record();
-            }
+            stage.record();
         }
-        if let Some(obs) = &self.obs {
-            obs.registry().add(SCAN_WINDOWS_METRIC, scanned.windows);
-            obs.registry().add(SCAN_EXACT_METRIC, scanned.exact);
-        }
+        self.obs
+            .registry()
+            .add(SCAN_WINDOWS_METRIC, scanned.windows);
+        self.obs.registry().add(SCAN_EXACT_METRIC, scanned.exact);
         Ok(detector)
     }
 
@@ -464,10 +454,7 @@ impl Trainer {
         rng: &mut StdRng,
         workers: &ScopedPool,
     ) {
-        let stage = self
-            .obs
-            .as_ref()
-            .map(|obs| obs.tracer().enter(&format!("sgd-{call}")));
+        let stage = self.obs.tracer().enter(&format!("sgd-{call}"));
         let mut jobs: Vec<(Indicator, usize, StdRng, f32)> = Vec::new();
         let mut scratch: Vec<usize> = Vec::new();
         for ind in Indicator::ALL {
@@ -502,9 +489,7 @@ impl Trainer {
         for ((ind, t_idx, _, _), scorer) in jobs.iter().zip(trained) {
             detector.scorers[*ind].components[*t_idx] = scorer;
         }
-        if let Some(stage) = stage {
-            stage.record();
-        }
+        stage.record();
     }
 
     /// One component's epochs of shuffled SGD from a zeroed scorer.

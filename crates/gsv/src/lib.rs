@@ -1,6 +1,6 @@
 //! A simulated Google-Street-View-style imagery service (see DESIGN.md §2).
 //!
-//! The study "obtained the coordinates for each location and request[ed]
+//! The study "obtained the coordinates for each location and request\[ed\]
 //! images with a resolution of 640x640 pixels from all four directions",
 //! paying an API fee per image. This crate reproduces that interface over
 //! the synthetic scene substrate: validated [`ImageRequest`]s, deterministic

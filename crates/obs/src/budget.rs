@@ -88,10 +88,8 @@ pub enum BudgetRule {
         max: f64,
     },
     /// The run's total USD cost — the sum of every gauge named `*.usd`
-    /// (the [`CostMeter`] publish convention) — must not exceed
-    /// `max_usd`.
-    ///
-    /// [`CostMeter`]: https://docs.rs/ — see `nbhd-client`'s cost module.
+    /// (the publish convention of `nbhd-client`'s `CostMeter`) — must not
+    /// exceed `max_usd`.
     UsdMax {
         /// Inclusive ceiling in dollars.
         max_usd: f64,

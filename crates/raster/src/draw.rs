@@ -49,7 +49,7 @@ pub fn fill_rect(img: &mut RasterImage, x: i64, y: i64, w: i64, h: i64, color: R
 /// path, but only the steps whose brush can reach the image are taken: the
 /// first of them is found in closed form. So any endpoints, however far off,
 /// cost at most the image's width or height plus the brush in steps. A
-/// rounded endpoint more than [`FAR`] pixels out is first clipped to that
+/// rounded endpoint more than 2^40 pixels out is first clipped to that
 /// bound along the segment, in `f64`, so no step overflows.
 pub fn line(img: &mut RasterImage, a: Point, b: Point, thickness: u32, color: Rgb) {
     let mut ends = [a.x, a.y, b.x, b.y].map(|v| v.round() as i64);
@@ -191,8 +191,8 @@ const NEAR_SIDES: f32 = 4.0;
 /// Draws a dashed line: `dash_len` pixels on, `gap_len` pixels off.
 ///
 /// Used for lane markings, which are the detector's main cue for telling
-/// single-lane from multilane roads. A segment reaching past [`NEAR_SIDES`]
-/// image sides only dashes the part near the image, so a far-off or huge
+/// single-lane from multilane roads. A segment reaching more than four image
+/// sides out only dashes the part near the image, so a far-off or huge
 /// one costs what a near one does; one with a non-finite endpoint draws
 /// nothing.
 pub fn dashed_line(

@@ -1033,24 +1033,10 @@ impl SurveyService {
     /// worker-count invariant (unlike wall-side executor metrics).
     fn publish_breakers(&self, registry: &MetricsRegistry) {
         for member in &self.members {
-            let snap = member.breaker.snapshot();
             let name = &member.profile.name;
-            registry.set(
-                &format!("serve.breaker.{name}.transitions"),
-                snap.transitions,
-            );
-            registry.set(&format!("serve.breaker.{name}.fail_fast"), snap.fail_fast);
-            registry.set(&format!("serve.breaker.{name}.opened"), snap.edges.opened);
-            registry.set(&format!("serve.breaker.{name}.probed"), snap.edges.probed);
-            registry.set(
-                &format!("serve.breaker.{name}.reclosed"),
-                snap.edges.reclosed,
-            );
-            registry.set(
-                &format!("serve.breaker.{name}.reopened"),
-                snap.edges.reopened,
-            );
-            registry.set(&format!("serve.breaker.{name}.flaps"), snap.edges.flaps());
+            for (suffix, value) in member.breaker.snapshot().counters() {
+                registry.set(&format!("serve.breaker.{name}.{suffix}"), value);
+            }
         }
     }
 

@@ -97,6 +97,27 @@ impl ImageLabels {
             .iter()
             .filter(move |o| o.indicator == indicator)
     }
+
+    /// Checks labels read from outside the process (a journal record, a
+    /// LabelMe file) before they can reach a dataset: a box that is
+    /// non-finite or has a negative size is a bad input, never a silent
+    /// misparse.
+    ///
+    /// # Errors
+    ///
+    /// Names the image and the first offending object.
+    pub fn check_boxes(&self) -> Result<(), String> {
+        for (i, object) in self.objects.iter().enumerate() {
+            let b = object.bbox;
+            if ![b.x, b.y, b.w, b.h].iter().all(|v| v.is_finite()) || b.w < 0.0 || b.h < 0.0 {
+                return Err(format!(
+                    "{}: object {i}: non-finite or negative-size box",
+                    self.image
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Extend<ObjectLabel> for ImageLabels {

@@ -6,7 +6,7 @@
 //! derived from the paper's Tables III–VI, language proficiency tables,
 //! a sequential-prompting penalty, and token habits. A [`VisionModel`]
 //! combines a profile with the per-image evidence model ([`ImageContext`],
-//! Gaussian-copula correlated across models) and a token [`sampler`] with
+//! Gaussian-copula correlated across models) and a token sampler with
 //! real temperature / top-p semantics, producing *raw text responses* that
 //! downstream code must parse like any real API output.
 //!

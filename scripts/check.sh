@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The repository's gate: formatting, lints, every test target of the
-# workspace, the benchmark harness's tests, a release smoke run of every
+# The repository's gate: formatting, lints, rustdoc links, every test
+# target of the workspace, the benchmark harness's tests, a release smoke run of every
 # benchmark workload and of scripts/ab_pairs.sh, the journal and budget
 # self-tests, the budget gate against the committed BUDGETS.json, the
 # paper-table (t2 and t1) and drill artifacts self-diffed (t2 also against
@@ -30,6 +30,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+# a dead or private intra-doc link fails the gate
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo test --workspace (two known failures skipped by exact name)"
 # survey_prevalence_matches_paper_class_balance: the scene generator draws
