@@ -274,14 +274,8 @@ impl Ensemble {
 
     /// The paper's four models with its top-three voting set.
     pub fn paper_setup(survey_seed: u64) -> Ensemble {
-        let profiles = vec![
-            (nbhd_vlm::chatgpt_4o_mini(), false),
-            (nbhd_vlm::gemini_15_pro(), true),
-            (nbhd_vlm::claude_37(), true),
-            (nbhd_vlm::grok_2(), true),
-        ];
         Ensemble::new(
-            profiles,
+            nbhd_vlm::paper_lineup(),
             survey_seed,
             FaultProfile::NONE,
             ExecutorConfig::default(),

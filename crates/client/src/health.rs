@@ -1,7 +1,5 @@
 //! Per-model health aggregation: availability, breaker activity, and
-//! resilience counters, rendered through `nbhd-eval`'s report machinery.
-
-use nbhd_eval::{render_health_table, HealthRow};
+//! resilience counters, rendered as an aligned text table.
 
 use crate::{BreakerSnapshot, ModelUsage};
 
@@ -27,21 +25,6 @@ impl ModelHealth {
             self.usage.requests as f64 / total as f64
         }
     }
-
-    /// Converts to an `nbhd-eval` report row.
-    pub fn to_row(&self) -> HealthRow {
-        HealthRow {
-            model: self.model.clone(),
-            availability: self.availability(),
-            breaker_state: self.breaker.state.to_string(),
-            transitions: self.breaker.transitions,
-            flaps: self.breaker.edges.flaps(),
-            retries: self.usage.retries,
-            fail_fast: self.usage.fail_fast,
-            hedges: (self.usage.hedges_fired, self.usage.hedges_won),
-            backoff_ms: self.usage.backoff_ms,
-        }
-    }
 }
 
 /// A whole-ensemble health report.
@@ -52,14 +35,40 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// All models as `nbhd-eval` report rows.
-    pub fn rows(&self) -> Vec<HealthRow> {
-        self.models.iter().map(ModelHealth::to_row).collect()
-    }
-
-    /// Renders the report as an aligned text table.
+    /// Renders the report as an aligned text table, one line per model:
+    /// availability, final breaker state, transitions, flaps (completed
+    /// trip/recover cycles), retries, fail-fast rejections, hedges fired
+    /// over won, and retry backoff.
     pub fn render(&self, title: &str) -> String {
-        render_health_table(title, &self.rows())
+        let mut out = format!("{title}\n");
+        out.push_str(&format!(
+            "{:<22} {:>7} {:>10} {:>6} {:>6} {:>8} {:>9} {:>9} {:>11}\n",
+            "Model",
+            "Avail",
+            "Breaker",
+            "Trans",
+            "Flaps",
+            "Retries",
+            "FailFast",
+            "Hedges",
+            "Backoff"
+        ));
+        for m in &self.models {
+            out.push_str(&format!(
+                "{:<22} {:>6.1}% {:>10} {:>6} {:>6} {:>8} {:>9} {:>5}/{:<3} {:>8} ms\n",
+                m.model,
+                m.availability() * 100.0,
+                m.breaker.state.to_string(),
+                m.breaker.transitions,
+                m.breaker.edges.flaps(),
+                m.usage.retries,
+                m.usage.fail_fast,
+                m.usage.hedges_fired,
+                m.usage.hedges_won,
+                m.usage.backoff_ms
+            ));
+        }
+        out
     }
 
     /// The worst availability across models; `1.0` when empty.
@@ -112,5 +121,34 @@ mod tests {
         assert!(text.contains("gemini"));
         assert!(text.contains("grok"));
         assert!((report.min_availability() - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn health_table_lists_every_model() {
+        let mut grok = health("grok-2", 35, 245);
+        grok.usage.retries = 40;
+        grok.usage.fail_fast = 120;
+        grok.usage.hedges_fired = 5;
+        grok.usage.hedges_won = 1;
+        grok.usage.backoff_ms = 90_000;
+        grok.breaker.state = BreakerState::Open;
+        grok.breaker.transitions = 5;
+        grok.breaker.edges = crate::BreakerTransitions {
+            opened: 2,
+            probed: 2,
+            reclosed: 1,
+            reopened: 0,
+        };
+        let report = HealthReport {
+            models: vec![health("gemini-1.5-pro", 280, 0), grok],
+        };
+        let text = report.render("Health");
+        assert_eq!(
+            text,
+            "Health\n\
+             Model                    Avail    Breaker  Trans  Flaps  Retries  FailFast    Hedges     Backoff\n\
+             gemini-1.5-pro          100.0%     closed      0      0        0         0     0/0          0 ms\n\
+             grok-2                   12.5%       open      5      1       40       120     5/1      90000 ms\n"
+        );
     }
 }

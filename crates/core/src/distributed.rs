@@ -27,8 +27,11 @@
 //! * counters are published from a one-shard [`crate::CoverageReport`]
 //!   (this shard ran `1` shard, quarantined *its* locations, counted *its*
 //!   class prevalence), so summation reproduces the single-process totals;
-//! * coverage folds with the same region-sum algebra
-//!   [`crate::CoverageReport`] pins in-process.
+//! * coverage folds through the same function in process and across
+//!   processes: [`crate::CoverageReport::run_coverage`] is
+//!   [`nbhd_obs::RunCoverage::merge`] over each shard's one-shard
+//!   projection, and `RunArtifact::merge_shards` merges the shards'
+//!   sections with it.
 
 use std::sync::Arc;
 
@@ -41,7 +44,7 @@ use nbhd_types::{Error, ImageLabels, Result};
 use serde::Serialize;
 
 use crate::shard::ShardedOutcome;
-use crate::supervise::{build_report, drive_shards, publish};
+use crate::supervise::{drive_shards, publish};
 use crate::{run_supervised, CoverageReport, ShardCoverage, SupervisePolicy, SurveyConfig};
 
 /// The identity hash stamped into every shard's [`ShardIdentity`]: the
@@ -154,7 +157,7 @@ pub fn run_shard_distributed(
         &obs,
     )?;
     let pass = passes.remove(0);
-    let report = build_report(vec![pass.coverage]);
+    let report = CoverageReport::new(vec![pass.coverage]);
     publish(
         obs.registry(),
         &report,

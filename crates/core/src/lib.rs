@@ -60,9 +60,8 @@ pub use distributed::{
     distributed_config_hash, run_shard_distributed, run_supervised_artifact, DistributedShardRun,
 };
 pub use experiments::{ExperimentReport, PaperExperiments};
-pub use llm_survey::{
-    paper_lineup, run_llm_survey, run_llm_survey_observed, LlmSurveyConfig, LlmSurveyOutcome,
-};
+pub use llm_survey::{run_llm_survey, run_llm_survey_observed, LlmSurveyConfig, LlmSurveyOutcome};
+pub use nbhd_vlm::paper_lineup;
 pub use panorama::{run_panorama_survey, FusionRule, PanoramaOutcome};
 pub use pipeline::{SurveyDataset, SurveyImageProvider, SurveyPipeline};
 pub use shard::{
@@ -71,11 +70,10 @@ pub use shard::{
 };
 pub use supervise::{
     run_supervised, AttemptRecord, CaptureRecord, CompletedShard, CoverageReport, QuarantineCause,
-    QuarantineRecord, QuarantineStage, RegionCoverage, ShardCoverage, ShardOutcome,
-    SupervisePolicy, ATTEMPT_RECORD_KIND, CAPTURE_RECORD_KIND, CLASS_IMAGE_PREFIX,
-    COVERAGE_FRACTION_GAUGE, QUARANTINE_CAUSE_PREFIX, QUARANTINE_COUNT_METRIC,
-    QUARANTINE_RECORD_KIND, QUARANTINE_RETRY_METRIC, SHARD_OUTCOME_COMPLETED_METRIC,
-    SHARD_OUTCOME_TIMED_OUT_METRIC,
+    QuarantineRecord, QuarantineStage, ShardCoverage, ShardOutcome, SupervisePolicy,
+    ATTEMPT_RECORD_KIND, CAPTURE_RECORD_KIND, CLASS_IMAGE_PREFIX, COVERAGE_FRACTION_GAUGE,
+    QUARANTINE_CAUSE_PREFIX, QUARANTINE_COUNT_METRIC, QUARANTINE_RECORD_KIND,
+    QUARANTINE_RETRY_METRIC, SHARD_OUTCOME_COMPLETED_METRIC, SHARD_OUTCOME_TIMED_OUT_METRIC,
 };
 pub use transfer::{run_transfer, TransferOutcome};
 

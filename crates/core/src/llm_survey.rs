@@ -137,20 +137,10 @@ pub fn run_llm_survey_observed(
     })
 }
 
-/// The paper's model lineup: all four queried, top three voting.
-pub fn paper_lineup() -> Vec<(ModelProfile, bool)> {
-    vec![
-        (nbhd_vlm::chatgpt_4o_mini(), false),
-        (nbhd_vlm::gemini_15_pro(), true),
-        (nbhd_vlm::claude_37(), true),
-        (nbhd_vlm::grok_2(), true),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SurveyConfig, SurveyPipeline};
+    use crate::{paper_lineup, SurveyConfig, SurveyPipeline};
     use nbhd_types::Indicator;
 
     #[test]

@@ -39,10 +39,12 @@ use std::time::Instant;
 
 use nbhd_annotate::{HumanLabeler, LabeledDataset};
 use nbhd_exec::{panic_message, ScopedPool};
-use nbhd_geo::{ShardPlan, SurveySample};
+use nbhd_geo::{ShardPlan, SurveyPoint, SurveySample};
 use nbhd_gsv::{journaled_scenes, ImageRequest, PoisonSchedule, StreetViewService};
 use nbhd_journal::{CheckpointStore, Replayable};
-use nbhd_obs::{MetricsRegistry, Obs, VirtualClock};
+use nbhd_obs::{
+    MetricsRegistry, Obs, RegionCoverageRow, RunCoverage, ShardCoverageRow, VirtualClock,
+};
 use nbhd_types::rng::child_seed;
 use nbhd_types::{Error, Heading, ImageId, ImageLabels, IndicatorMap, LocationId, Result};
 use serde::{Deserialize, Serialize};
@@ -143,20 +145,13 @@ impl SupervisePolicy {
     }
 }
 
-/// Which pipeline stage a quarantine was charged to.
-///
-/// The supervised capture-annotate unit spans capture and labeling and is
-/// charged to [`QuarantineStage::Capture`]; the other variants name the
-/// pipeline's remaining failure domains so downstream supervised passes
-/// (label audit, harvest/merge) stamp typed records of the same shape.
+/// Which pipeline stage a quarantine was charged to. The supervised
+/// capture-annotate unit spans capture and labeling, and is the one stage
+/// that quarantines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QuarantineStage {
     /// The capture-annotate unit: scene compose, label pass, fee, annotation.
     Capture,
-    /// A post-capture labeling or verification pass.
-    Label,
-    /// Folding shard outputs into the merged dataset.
-    Harvest,
 }
 
 /// Why a location was quarantined. The payload strings are deterministic
@@ -261,22 +256,25 @@ pub struct ShardCoverage {
     /// Per-region rows for this shard, derived from the shard plan at run
     /// time (so a region whose locations were all quarantined or skipped
     /// still gets an honest row).
-    pub regions: Vec<RegionCoverage>,
+    pub regions: Vec<RegionCoverageRow>,
 }
 
-/// One region's coverage facts, aggregated over shards.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegionCoverage {
-    /// The region (county) name.
-    pub region: String,
-    /// Planned locations in the region.
-    pub planned: usize,
-    /// Completed locations in the region.
-    pub completed: usize,
-    /// Quarantined locations in the region.
-    pub quarantined: usize,
-    /// Skipped locations in the region.
-    pub skipped: usize,
+impl ShardCoverage {
+    /// This shard's coverage as a one-shard [`RunCoverage`]: the section a
+    /// shard's own artifact carries, and one input to the report's fold.
+    pub fn run_coverage(&self) -> RunCoverage {
+        RunCoverage {
+            shards: vec![ShardCoverageRow {
+                shard: self.shard,
+                planned: self.planned_locations as u64,
+                completed: self.completed_locations as u64,
+                quarantined: self.quarantined.len() as u64,
+                skipped: self.skipped.len() as u64,
+                timed_out: self.outcome == ShardOutcome::TimedOut,
+            }],
+            regions: self.regions.clone(),
+        }
+    }
 }
 
 /// What a supervised run actually covered: per-shard and per-region counts,
@@ -286,10 +284,18 @@ pub struct CoverageReport {
     /// Per-shard coverage, in shard order.
     pub shards: Vec<ShardCoverage>,
     /// Per-region coverage, sorted by region name.
-    pub regions: Vec<RegionCoverage>,
+    pub regions: Vec<RegionCoverageRow>,
 }
 
 impl CoverageReport {
+    /// The report over `shards` (in shard order). Its region rows are the
+    /// shards' own rows summed by region name through [`RunCoverage::merge`],
+    /// the fold that also merges shard artifacts across processes.
+    pub fn new(shards: Vec<ShardCoverage>) -> CoverageReport {
+        let regions = RunCoverage::merge(shards.iter().map(ShardCoverage::run_coverage)).regions;
+        CoverageReport { shards, regions }
+    }
+
     /// Locations planned across all shards.
     pub fn planned_locations(&self) -> usize {
         self.shards.iter().map(|s| s.planned_locations).sum()
@@ -350,73 +356,11 @@ impl CoverageReport {
         self.shards.iter().flat_map(|s| s.quarantined.iter())
     }
 
-    /// Per-shard rows for [`nbhd_eval::render_coverage_table`].
-    pub fn rows(&self) -> Vec<nbhd_eval::CoverageRow> {
-        self.shards
-            .iter()
-            .map(|s| nbhd_eval::CoverageRow {
-                label: format!("shard {}", s.shard),
-                planned: s.planned_locations,
-                completed: s.completed_locations,
-                quarantined: s.quarantined.len(),
-                skipped: s.skipped.len(),
-                outcome: match s.outcome {
-                    ShardOutcome::Completed => "completed".to_owned(),
-                    ShardOutcome::TimedOut => "timed-out".to_owned(),
-                },
-            })
-            .collect()
-    }
-
-    /// The artifact-side projection of this report: the coverage section
-    /// a [`nbhd_obs::RunArtifact`] carries, built so that merging N
-    /// per-shard projections reproduces the whole-run projection exactly
-    /// (shard rows in index order, region rows summed by name).
-    pub fn run_coverage(&self) -> nbhd_obs::RunCoverage {
-        nbhd_obs::RunCoverage {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| nbhd_obs::ShardCoverageRow {
-                    shard: s.shard,
-                    planned: s.planned_locations as u64,
-                    completed: s.completed_locations as u64,
-                    quarantined: s.quarantined.len() as u64,
-                    skipped: s.skipped.len() as u64,
-                    timed_out: s.outcome == ShardOutcome::TimedOut,
-                })
-                .collect(),
-            regions: self
-                .regions
-                .iter()
-                .map(|r| nbhd_obs::RegionCoverageRow {
-                    region: r.region.clone(),
-                    planned: r.planned as u64,
-                    completed: r.completed as u64,
-                    quarantined: r.quarantined as u64,
-                    skipped: r.skipped as u64,
-                })
-                .collect(),
-        }
-    }
-
-    /// Per-region rows for [`nbhd_eval::render_coverage_table`].
-    pub fn region_rows(&self) -> Vec<nbhd_eval::CoverageRow> {
-        self.regions
-            .iter()
-            .map(|r| nbhd_eval::CoverageRow {
-                label: r.region.clone(),
-                planned: r.planned,
-                completed: r.completed,
-                quarantined: r.quarantined,
-                skipped: r.skipped,
-                outcome: if r.completed == r.planned {
-                    "complete".to_owned()
-                } else {
-                    "partial".to_owned()
-                },
-            })
-            .collect()
+    /// The artifact-side projection of this report: the merge of every
+    /// shard's one-shard [`ShardCoverage::run_coverage`], so merging N
+    /// per-shard artifacts reproduces the whole-run section exactly.
+    pub fn run_coverage(&self) -> RunCoverage {
+        RunCoverage::merge(self.shards.iter().map(ShardCoverage::run_coverage))
     }
 }
 
@@ -637,7 +581,7 @@ pub fn run_supervised(
         coverages.push(pass.coverage);
     }
     let annotations = merge_shard_annotations(batches);
-    let report = build_report(coverages);
+    let report = CoverageReport::new(coverages);
     publish(obs.registry(), &report, peak, &annotations);
     let dataset = LabeledDataset::build(
         annotations,
@@ -1045,7 +989,7 @@ fn run_shard_supervised(
     }
     skipped.sort_unstable();
 
-    let regions = region_rows_for_shard(sample, &planned, &quarantined, &skipped);
+    let regions = region_rows_for_shard(&points, &planned, &quarantined, &skipped);
     let coverage = ShardCoverage {
         shard,
         planned_locations: planned.len(),
@@ -1085,23 +1029,21 @@ fn run_shard_supervised(
 /// quarantined, or was skipped. The supervised pass resolves each planned
 /// location to exactly one of those three fates, so per-region `completed`
 /// is the exact remainder `planned - quarantined - skipped`; deriving
-/// `planned` from completed captures instead (the old `build_report` bug)
-/// erased regions whose locations all failed.
+/// `planned` from completed captures instead erased regions whose
+/// locations all failed. `points` are the shard's own sample points, which
+/// hold every planned location.
 fn region_rows_for_shard(
-    sample: &SurveySample,
+    points: &[SurveyPoint],
     planned: &[LocationId],
     quarantined: &[QuarantineRecord],
     skipped: &[LocationId],
-) -> Vec<RegionCoverage> {
-    let county_of: HashMap<LocationId, &str> = sample
-        .points()
-        .iter()
-        .map(|p| (p.id, p.county.as_str()))
-        .collect();
-    let mut regions: BTreeMap<&str, RegionCoverage> = BTreeMap::new();
+) -> Vec<RegionCoverageRow> {
+    let county_of: HashMap<LocationId, &str> =
+        points.iter().map(|p| (p.id, p.county.as_str())).collect();
+    let mut regions: BTreeMap<&str, RegionCoverageRow> = BTreeMap::new();
     for location in planned {
         let county = county_of.get(location).copied().unwrap_or("unknown");
-        let entry = regions.entry(county).or_insert_with(|| RegionCoverage {
+        let entry = regions.entry(county).or_insert_with(|| RegionCoverageRow {
             region: county.to_owned(),
             planned: 0,
             completed: 0,
@@ -1132,36 +1074,6 @@ fn region_rows_for_shard(
             .saturating_sub(entry.skipped);
     }
     regions.into_values().collect()
-}
-
-/// Folds per-shard coverage into the run report. Region rows are computed
-/// by each shard from its own plan ([`region_rows_for_shard`]); this fold
-/// only sums them by region name — the same algebra
-/// `nbhd_obs::RunCoverage::merge` applies across processes, so region
-/// totals equal shard totals by construction.
-pub(crate) fn build_report(shards: Vec<ShardCoverage>) -> CoverageReport {
-    let mut regions: BTreeMap<String, RegionCoverage> = BTreeMap::new();
-    for shard in &shards {
-        for row in &shard.regions {
-            let entry = regions
-                .entry(row.region.clone())
-                .or_insert_with(|| RegionCoverage {
-                    region: row.region.clone(),
-                    planned: 0,
-                    completed: 0,
-                    quarantined: 0,
-                    skipped: 0,
-                });
-            entry.planned += row.planned;
-            entry.completed += row.completed;
-            entry.quarantined += row.quarantined;
-            entry.skipped += row.skipped;
-        }
-    }
-    CoverageReport {
-        shards,
-        regions: regions.into_values().collect(),
-    }
 }
 
 #[cfg(test)]
@@ -1436,25 +1348,16 @@ mod tests {
         )
         .unwrap();
         let report = outcome.survey().coverage();
-        assert_eq!(
-            report.regions.iter().map(|r| r.planned).sum::<usize>(),
-            report.planned_locations()
-        );
-        assert_eq!(
-            report.regions.iter().map(|r| r.completed).sum::<usize>(),
-            report.completed_locations()
-        );
-        assert_eq!(
-            report.regions.iter().map(|r| r.quarantined).sum::<usize>(),
-            report.quarantined_count()
-        );
-        assert_eq!(
-            report.regions.iter().map(|r| r.skipped).sum::<usize>(),
-            report.skipped_count()
-        );
-        let rows = report.rows();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].label, "shard 0");
+        let sum = |column: fn(&RegionCoverageRow) -> u64| -> usize {
+            report.regions.iter().map(column).sum::<u64>() as usize
+        };
+        assert_eq!(sum(|r| r.planned), report.planned_locations());
+        assert_eq!(sum(|r| r.completed), report.completed_locations());
+        assert_eq!(sum(|r| r.quarantined), report.quarantined_count());
+        assert_eq!(sum(|r| r.skipped), report.skipped_count());
+        let shards = report.run_coverage().shards;
+        assert_eq!(shards.len(), 3);
+        assert_eq!(shards[0].shard, 0);
     }
 
     #[test]

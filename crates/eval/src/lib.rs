@@ -40,8 +40,8 @@ pub use html::{render_html_report, render_html_report_with_budget};
 pub use metrics::{ClassMetrics, MetricsTable, PresenceEvaluator};
 pub use report::{
     render_budget_table, render_comparison, render_coverage_table, render_exec_table,
-    render_health_table, render_hist_table, render_metrics_table, render_run_summary,
-    render_transfer_table, ComparisonRow, CoverageRow, ExecRow, HealthRow, TransferRow,
+    render_hist_table, render_metrics_table, render_run_summary, render_transfer_table,
+    ComparisonRow, ExecRow, TransferRow,
 };
 pub use vote::{
     agreement, majority_vote, quorum_vote, QuorumPolicy, TiePolicy, VoteFallback, VoteProvenance,

@@ -1,6 +1,6 @@
 //! Text rendering of metric tables and paper-vs-measured comparisons.
 
-use nbhd_obs::{BudgetReport, Histogram, RunSummary};
+use nbhd_obs::{BudgetReport, Histogram, RunCoverage, RunSummary};
 use nbhd_types::Indicator;
 
 use crate::MetricsTable;
@@ -167,54 +167,60 @@ pub fn render_transfer_table(title: &str, rows: &[TransferRow]) -> String {
     out
 }
 
-/// One shard's or region's coverage line for [`render_coverage_table`]:
-/// what a supervised partial run planned, completed, quarantined, and
-/// skipped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoverageRow {
-    /// What the row covers (e.g. `"shard 2"` or a region name).
-    pub label: String,
-    /// Locations planned for this unit.
-    pub planned: usize,
-    /// Locations fully completed.
-    pub completed: usize,
-    /// Locations quarantined as poison.
-    pub quarantined: usize,
-    /// Locations skipped by a watchdog timeout.
-    pub skipped: usize,
-    /// Outcome label (e.g. `"completed"` / `"timed-out"`).
-    pub outcome: String,
-}
-
-/// Renders coverage rows as an aligned text table, in the same report
-/// style as [`render_transfer_table`].
+/// Renders a run's coverage as an aligned text table, in the same report
+/// style as [`render_transfer_table`]: one line per shard (`shard {i}`,
+/// `completed` or `timed-out`), then one per region (`complete` when every
+/// planned location completed, else `partial`).
 ///
 /// ```
-/// use nbhd_eval::{render_coverage_table, CoverageRow};
+/// use nbhd_eval::render_coverage_table;
+/// use nbhd_obs::{RunCoverage, ShardCoverageRow};
 ///
-/// let rows = vec![CoverageRow {
-///     label: "shard 0".into(),
-///     planned: 12,
-///     completed: 10,
-///     quarantined: 1,
-///     skipped: 1,
-///     outcome: "timed-out".into(),
-/// }];
-/// let text = render_coverage_table("Survey coverage", &rows);
+/// let coverage = RunCoverage {
+///     shards: vec![ShardCoverageRow {
+///         shard: 0,
+///         planned: 12,
+///         completed: 10,
+///         quarantined: 1,
+///         skipped: 1,
+///         timed_out: true,
+///     }],
+///     regions: Vec::new(),
+/// };
+/// let text = render_coverage_table("Survey coverage", &coverage);
 /// assert!(text.contains("shard 0"));
 /// assert!(text.contains("83.3%"));
 /// assert!(text.contains("timed-out"));
 /// ```
-pub fn render_coverage_table(title: &str, rows: &[CoverageRow]) -> String {
+pub fn render_coverage_table(title: &str, coverage: &RunCoverage) -> String {
+    let shards = coverage.shards.iter().map(|s| {
+        let outcome = if s.timed_out {
+            "timed-out"
+        } else {
+            "completed"
+        };
+        let counts = [s.planned, s.completed, s.quarantined, s.skipped];
+        (format!("shard {}", s.shard), counts, outcome)
+    });
+    let regions = coverage.regions.iter().map(|r| {
+        let outcome = if r.completed == r.planned {
+            "complete"
+        } else {
+            "partial"
+        };
+        let counts = [r.planned, r.completed, r.quarantined, r.skipped];
+        (r.region.clone(), counts, outcome)
+    });
+    let rows: Vec<_> = shards.chain(regions).collect();
     let label_w = rows
         .iter()
-        .map(|r| r.label.len())
+        .map(|r| r.0.len())
         .chain(["Unit".len()])
         .max()
         .unwrap_or(4);
     let outcome_w = rows
         .iter()
-        .map(|r| r.outcome.len())
+        .map(|r| r.2.len())
         .chain(["Outcome".len()])
         .max()
         .unwrap_or(7);
@@ -224,92 +230,15 @@ pub fn render_coverage_table(title: &str, rows: &[CoverageRow]) -> String {
         "{:<label_w$} {:>8} {:>10} {:>12} {:>8} {:>9} {:>outcome_w$}\n",
         "Unit", "Planned", "Completed", "Quarantined", "Skipped", "Coverage", "Outcome"
     ));
-    for r in rows {
-        let coverage = if r.planned == 0 {
+    for (label, [planned, completed, quarantined, skipped], outcome) in rows {
+        let fraction = if planned == 0 {
             1.0
         } else {
-            r.completed as f64 / r.planned as f64
+            completed as f64 / planned as f64
         };
         out.push_str(&format!(
-            "{:<label_w$} {:>8} {:>10} {:>12} {:>8} {:>8.1}% {:>outcome_w$}\n",
-            r.label,
-            r.planned,
-            r.completed,
-            r.quarantined,
-            r.skipped,
-            coverage * 100.0,
-            r.outcome
-        ));
-    }
-    out
-}
-
-/// One model's health line for [`render_health_table`]: availability,
-/// breaker activity, and resilience counters over a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthRow {
-    /// Model name.
-    pub model: String,
-    /// Fraction of requests answered, in `[0, 1]`.
-    pub availability: f64,
-    /// Final breaker state, e.g. `"closed"`.
-    pub breaker_state: String,
-    /// Breaker state transitions over the run.
-    pub transitions: u64,
-    /// Completed trip/recover cycles — a high count means the backend is
-    /// flapping (bouncing between open and closed), not merely down.
-    pub flaps: u64,
-    /// Attempts beyond the first.
-    pub retries: u64,
-    /// Requests rejected instantly by an open breaker.
-    pub fail_fast: u64,
-    /// Hedge backups fired / won.
-    pub hedges: (u64, u64),
-    /// Virtual milliseconds spent in retry backoff.
-    pub backoff_ms: u64,
-}
-
-/// Renders per-model health rows as an aligned text table, in the same
-/// report style as [`render_metrics_table`].
-///
-/// ```
-/// use nbhd_eval::{render_health_table, HealthRow};
-///
-/// let rows = vec![HealthRow {
-///     model: "gemini-1.5-pro".into(),
-///     availability: 0.97,
-///     breaker_state: "closed".into(),
-///     transitions: 0,
-///     flaps: 0,
-///     retries: 12,
-///     fail_fast: 0,
-///     hedges: (3, 2),
-///     backoff_ms: 4100,
-/// }];
-/// let text = render_health_table("Model health", &rows);
-/// assert!(text.contains("gemini-1.5-pro"));
-/// assert!(text.contains("97.0%"));
-/// ```
-pub fn render_health_table(title: &str, rows: &[HealthRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{title}\n"));
-    out.push_str(&format!(
-        "{:<22} {:>7} {:>10} {:>6} {:>6} {:>8} {:>9} {:>9} {:>11}\n",
-        "Model", "Avail", "Breaker", "Trans", "Flaps", "Retries", "FailFast", "Hedges", "Backoff"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<22} {:>6.1}% {:>10} {:>6} {:>6} {:>8} {:>9} {:>5}/{:<3} {:>8} ms\n",
-            r.model,
-            r.availability * 100.0,
-            r.breaker_state,
-            r.transitions,
-            r.flaps,
-            r.retries,
-            r.fail_fast,
-            r.hedges.0,
-            r.hedges.1,
-            r.backoff_ms
+            "{label:<label_w$} {planned:>8} {completed:>10} {quarantined:>12} {skipped:>8} {:>8.1}% {outcome:>outcome_w$}\n",
+            fraction * 100.0,
         ));
     }
     out
@@ -328,7 +257,7 @@ pub struct ExecRow<'a> {
 }
 
 /// Renders execution-substrate counters as an aligned text table, in the
-/// same report style as [`render_health_table`].
+/// same report style as [`render_metrics_table`].
 ///
 /// ```
 /// use nbhd_eval::{render_exec_table, ExecRow};
@@ -599,40 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn health_table_lists_every_model() {
-        let rows = vec![
-            HealthRow {
-                model: "gemini".into(),
-                availability: 1.0,
-                breaker_state: "closed".into(),
-                transitions: 0,
-                flaps: 0,
-                retries: 0,
-                fail_fast: 0,
-                hedges: (0, 0),
-                backoff_ms: 0,
-            },
-            HealthRow {
-                model: "grok".into(),
-                availability: 0.125,
-                breaker_state: "open".into(),
-                transitions: 3,
-                flaps: 1,
-                retries: 40,
-                fail_fast: 120,
-                hedges: (5, 1),
-                backoff_ms: 90_000,
-            },
-        ];
-        let text = render_health_table("Health", &rows);
-        assert!(text.contains("gemini"));
-        assert!(text.contains("grok"));
-        assert!(text.contains("open"));
-        assert!(text.contains("12.5%"));
-        assert!(text.contains("120"));
-    }
-
-    #[test]
     fn exec_table_renders_counters() {
         let rows = vec![
             ExecRow {
@@ -816,34 +711,39 @@ mod tests {
     }
 
     #[test]
-    fn coverage_table_aligns_and_shows_fractions() {
-        let rows = vec![
-            CoverageRow {
-                label: "shard 0".into(),
-                planned: 12,
-                completed: 12,
-                quarantined: 0,
-                skipped: 0,
-                outcome: "completed".into(),
-            },
-            CoverageRow {
-                label: "shard 1".into(),
-                planned: 12,
-                completed: 6,
-                quarantined: 2,
-                skipped: 4,
-                outcome: "timed-out".into(),
-            },
-        ];
-        let text = render_coverage_table("Coverage", &rows);
-        assert!(text.contains("100.0%"), "{text}");
-        assert!(text.contains("50.0%"), "{text}");
-        assert!(text.contains("timed-out"), "{text}");
-        let lines: Vec<&str> = text.lines().skip(1).collect();
-        let widths: Vec<usize> = lines.iter().map(|l| l.len()).collect();
-        assert!(
-            widths.windows(2).all(|w| w[0] == w[1]),
-            "ragged table:\n{text}"
+    fn coverage_table_lists_shards_then_regions() {
+        use nbhd_obs::{RegionCoverageRow, ShardCoverageRow};
+        let shard = |shard, completed, quarantined, skipped, timed_out| ShardCoverageRow {
+            shard,
+            planned: 12,
+            completed,
+            quarantined,
+            skipped,
+            timed_out,
+        };
+        let region = |name: &str, planned, completed, quarantined, skipped| RegionCoverageRow {
+            region: name.to_owned(),
+            planned,
+            completed,
+            quarantined,
+            skipped,
+        };
+        let coverage = RunCoverage {
+            shards: vec![shard(0, 12, 0, 0, false), shard(1, 6, 2, 4, true)],
+            regions: vec![
+                region("durham", 10, 10, 0, 0),
+                region("robeson", 14, 8, 2, 4),
+            ],
+        };
+        let text = render_coverage_table("Coverage", &coverage);
+        assert_eq!(
+            text,
+            "Coverage\n\
+             Unit     Planned  Completed  Quarantined  Skipped  Coverage   Outcome\n\
+             shard 0       12         12            0        0    100.0% completed\n\
+             shard 1       12          6            2        4     50.0% timed-out\n\
+             durham        10         10            0        0    100.0%  complete\n\
+             robeson       14          8            2        4     57.1%   partial\n"
         );
     }
 

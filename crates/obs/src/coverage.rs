@@ -1,14 +1,16 @@
 //! Coverage facts carried on a [`crate::RunArtifact`].
 //!
-//! A [`RunCoverage`] is the artifact-side projection of the core crate's
-//! coverage report: per-shard and per-region counts of what a run planned,
-//! completed, quarantined, and skipped. It lives here — not in the core
-//! crate — because [`crate::RunArtifact::merge_shards`] must fold coverage
-//! with the same algebra the core report pins (region totals are sums over
-//! shards), and `nbhd-obs` sits below the core crate in the dependency
-//! graph.
+//! A [`RunCoverage`] is the workspace's one coverage model: per-shard and
+//! per-region counts of what a run planned, completed, quarantined, and
+//! skipped. The core crate's shard coverage keeps its region counts as
+//! [`RegionCoverageRow`]s and projects itself to a one-shard
+//! `RunCoverage`; its run report and [`crate::RunArtifact::merge_shards`]
+//! both fold those projections with [`RunCoverage::merge`], so an
+//! in-process run and a merge of per-process shards sum regions through
+//! one function. It lives here, not in the core crate, because `nbhd-obs`
+//! sits below the core crate in the dependency graph.
 //!
-//! The algebra is pure summation: shard rows concatenate (sorted by shard
+//! The fold is pure summation: shard rows concatenate (sorted by shard
 //! index), region rows fold by region name with every count summed. Both
 //! outputs are sorted, so [`RunCoverage::merge`] is invariant to input
 //! order — the property the distributed-run tests pin.

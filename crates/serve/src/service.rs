@@ -37,10 +37,7 @@ use nbhd_obs::{MetricsRegistry, MetricsSnapshot, Obs, RunArtifact, ARTIFACT_SCHE
 use nbhd_prompt::{Language, Prompt, PromptMode};
 use nbhd_types::rng::child_seed_n;
 use nbhd_types::{Error, IndicatorSet, Result};
-use nbhd_vlm::{
-    chatgpt_4o_mini, claude_37, gemini_15_pro, grok_2, ImageContext, ModelProfile, SamplerParams,
-    VisionModel,
-};
+use nbhd_vlm::{paper_lineup, ImageContext, ModelProfile, SamplerParams, VisionModel};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::{AdmissionController, Rejected, TenantGate};
@@ -138,12 +135,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            models: vec![
-                (chatgpt_4o_mini(), false),
-                (gemini_15_pro(), true),
-                (claude_37(), true),
-                (grok_2(), true),
-            ],
+            models: paper_lineup(),
             survey_seed: 0,
             quorum: QuorumPolicy::default(),
             breaker: BreakerConfig::default(),

@@ -48,7 +48,7 @@ pub use evidence::{mixed_difficulty, ImageContext, DEFAULT_SHARED_FRACTION};
 pub use finetune::{adapt_profile, CalibrationExample, PRIOR_STRENGTH};
 pub use model::VisionModel;
 pub use profile::{
-    chatgpt_4o_mini, claude_37, gemini_15_pro, grok_2, paper_models, voting_models, LanguageSkill,
-    ModelProfile, Reliability, PREVALENCE,
+    chatgpt_4o_mini, claude_37, gemini_15_pro, grok_2, paper_lineup, paper_models, voting_models,
+    LanguageSkill, ModelProfile, Reliability, PREVALENCE,
 };
 pub use sampler::{margin_confidence, sample_answer, AnswerToken, SamplerParams};

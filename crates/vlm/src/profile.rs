@@ -287,14 +287,32 @@ pub fn grok_2() -> ModelProfile {
     }
 }
 
+/// The paper's model lineup in the paper's order, each with whether it
+/// votes: all four are queried, the top three (Gemini, Claude, Grok)
+/// majority-vote.
+pub fn paper_lineup() -> Vec<(ModelProfile, bool)> {
+    vec![
+        (chatgpt_4o_mini(), false),
+        (gemini_15_pro(), true),
+        (claude_37(), true),
+        (grok_2(), true),
+    ]
+}
+
 /// The four studied models, in the paper's order.
 pub fn paper_models() -> Vec<ModelProfile> {
-    vec![chatgpt_4o_mini(), gemini_15_pro(), claude_37(), grok_2()]
+    paper_lineup()
+        .into_iter()
+        .map(|(profile, _)| profile)
+        .collect()
 }
 
 /// The top-three models the paper majority-votes (Gemini, Claude, Grok).
 pub fn voting_models() -> Vec<ModelProfile> {
-    vec![gemini_15_pro(), claude_37(), grok_2()]
+    paper_lineup()
+        .into_iter()
+        .filter_map(|(profile, votes)| votes.then_some(profile))
+        .collect()
 }
 
 #[cfg(test)]

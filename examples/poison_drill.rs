@@ -75,12 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     print!(
         "{}",
-        render_coverage_table("Per-shard coverage", &report.rows())
-    );
-    println!();
-    print!(
-        "{}",
-        render_coverage_table("Per-region coverage", &report.region_rows())
+        render_coverage_table("Survey coverage", &report.run_coverage())
     );
     let summary = obs.summary();
     println!(
@@ -121,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     print!(
         "{}",
-        render_coverage_table("Watchdog demotion", &stuck_report.rows())
+        render_coverage_table("Watchdog demotion", &stuck_report.run_coverage())
     );
 
     // 3. Kill mid-run, resume, and replay quarantine from the journal.

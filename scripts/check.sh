@@ -4,7 +4,8 @@
 # benchmark workload and of scripts/ab_pairs.sh, the journal and budget
 # self-tests, the budget gate against the committed BUDGETS.json, the
 # paper-table (t2 and t1) and drill artifacts self-diffed (t2 also against
-# the committed BENCH_paper_tables.json), and the shard_run gate: clean and
+# the committed BENCH_paper_tables.json), the poison drill's coverage table,
+# and the shard_run gate: clean and
 # poisoned shard processes, merged, verified against the single-process run
 # and diffed against it with run_diff. Last it prints the test count, the
 # Rust line count, the non-test Rust line count and its own wall time. A killed and resumed crash_resume
@@ -116,10 +117,15 @@ done
 echo "==> drill artifacts: overload, region shards and poison drills, each run twice"
 for drill in overload_drill region_shards poison_drill; do
     for run in fresh rerun; do
-        NBHD_ARTIFACT="$OUT/$drill.$run.json" cargo run -q --example "$drill" >/dev/null
+        NBHD_ARTIFACT="$OUT/$drill.$run.json" cargo run -q --example "$drill" >"$OUT/$drill.$run.txt"
     done
     "$BIN/run_diff" "$OUT/$drill.fresh.json" "$OUT/$drill.rerun.json"
 done
+# the poison drill prints its coverage with nbhd_eval::render_coverage_table:
+# the table's header, and the stuck shard's timed-out row
+grep -q '^Unit  *Planned  *Completed  *Quarantined  *Skipped  *Coverage  *Outcome$' \
+    "$OUT/poison_drill.fresh.txt"
+grep -q '^shard 0 .* timed-out$' "$OUT/poison_drill.fresh.txt"
 
 echo "==> shard_run gate"
 # shard_gate NAME SHARDS [POISON OPTIONS...]: every shard in its own

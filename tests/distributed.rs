@@ -260,15 +260,15 @@ proptest! {
         .expect("supervised run");
         let report = outcome.coverage().expect("supervised runs report coverage");
 
-        let shard_planned: usize = report.shards.iter().map(|s| s.planned_locations).sum();
-        let shard_completed: usize = report.shards.iter().map(|s| s.completed_locations).sum();
-        let shard_quarantined: usize = report.shards.iter().map(|s| s.quarantined.len()).sum();
-        let shard_skipped: usize = report.shards.iter().map(|s| s.skipped.len()).sum();
+        let shard_planned = report.planned_locations() as u64;
+        let shard_completed = report.completed_locations() as u64;
+        let shard_quarantined = report.quarantined_count() as u64;
+        let shard_skipped = report.skipped_count() as u64;
 
-        let region_planned: usize = report.regions.iter().map(|r| r.planned).sum();
-        let region_completed: usize = report.regions.iter().map(|r| r.completed).sum();
-        let region_quarantined: usize = report.regions.iter().map(|r| r.quarantined).sum();
-        let region_skipped: usize = report.regions.iter().map(|r| r.skipped).sum();
+        let region_planned: u64 = report.regions.iter().map(|r| r.planned).sum();
+        let region_completed: u64 = report.regions.iter().map(|r| r.completed).sum();
+        let region_quarantined: u64 = report.regions.iter().map(|r| r.quarantined).sum();
+        let region_skipped: u64 = report.regions.iter().map(|r| r.skipped).sum();
 
         prop_assert_eq!(region_planned, shard_planned, "planned");
         prop_assert_eq!(region_completed, shard_completed, "completed");

@@ -35,7 +35,9 @@ struct Row {
     load: fn(&dyn CheckpointStore, &str) -> Result<()>,
     valid: Value,
     truncated: Value,
-    wrong_typed: Value,
+    /// Payloads of the wrong type; an enum variant the kind does not
+    /// name counts as one.
+    wrong_typed: Vec<Value>,
     /// The out-of-range payload, or why the kind's payload has no range
     /// rule.
     out_of_range: std::result::Result<Value, &'static str>,
@@ -103,7 +105,7 @@ fn rows() -> Vec<Row> {
             load: load::<FeeRecord>,
             valid: json!({ "location": 7, "heading": 1, "size": 160 }),
             truncated: json!({ "location": 7, "heading": 1 }),
-            wrong_typed: json!({ "location": "7", "heading": 1, "size": 160 }),
+            wrong_typed: vec![json!({ "location": "7", "heading": 1, "size": 160 })],
             // the payload bills location 5, not the keyed location 7
             out_of_range: Ok(json!({ "location": 5, "heading": 1, "size": 160 })),
         },
@@ -113,7 +115,7 @@ fn rows() -> Vec<Row> {
             load: load::<CaptureRecord>,
             valid: json!({ "image": image, "objects": [object.clone()] }),
             truncated: json!({ "image": image }),
-            wrong_typed: json!({ "image": image, "objects": "none" }),
+            wrong_typed: vec![json!({ "image": image, "objects": "none" })],
             out_of_range: Ok(json!({
                 "image": image,
                 "objects": [{ "indicator": "Sidewalk", "bbox": { "x": 1.0, "y": 2.0, "w": -3.0, "h": 4.0 } }],
@@ -125,7 +127,9 @@ fn rows() -> Vec<Row> {
             load: load::<CompletedShard>,
             valid: shard(home, 0),
             truncated: json!({ "annotations": [], "peak_resident_scenes": 4 }),
-            wrong_typed: json!({ "annotations": [], "peak_resident_scenes": "many", "coverage": {} }),
+            wrong_typed: vec![
+                json!({ "annotations": [], "peak_resident_scenes": "many", "coverage": {} }),
+            ],
             // labels of a location that shard 1 of 2 owns
             out_of_range: Ok(shard(away, 0)),
         },
@@ -135,7 +139,11 @@ fn rows() -> Vec<Row> {
             load: load::<QuarantineRecord>,
             valid: json!({ "location": 7, "stage": "Capture", "attempts": 3, "cause": { "Panic": "boom" } }),
             truncated: json!({ "location": 7, "stage": "Capture", "attempts": 3 }),
-            wrong_typed: json!({ "location": 7, "stage": "Capture", "attempts": "three", "cause": { "Panic": "boom" } }),
+            wrong_typed: vec![
+                json!({ "location": 7, "stage": "Capture", "attempts": "three", "cause": { "Panic": "boom" } }),
+                // no pass quarantines at the label stage
+                json!({ "location": 7, "stage": "Label", "attempts": 3, "cause": { "Panic": "boom" } }),
+            ],
             // a record keyed 7 that quarantines location 5
             out_of_range: Ok(
                 json!({ "location": 5, "stage": "Capture", "attempts": 3, "cause": { "Panic": "boom" } }),
@@ -147,7 +155,7 @@ fn rows() -> Vec<Row> {
             load: load::<AttemptRecord>,
             valid: json!({ "location": 7, "attempts": 2, "cause": { "Corrupt": "bad scene" } }),
             truncated: json!({ "location": 7, "attempts": 2 }),
-            wrong_typed: json!({ "location": 7, "attempts": 2, "cause": 11 }),
+            wrong_typed: vec![json!({ "location": 7, "attempts": 2, "cause": 11 })],
             out_of_range: Ok(
                 json!({ "location": 7, "attempts": 0, "cause": { "Corrupt": "bad scene" } }),
             ),
@@ -158,7 +166,7 @@ fn rows() -> Vec<Row> {
             load: load_stage,
             valid: detector_json.clone(),
             truncated: Value::String(cut.to_owned()),
-            wrong_typed: json!(7),
+            wrong_typed: vec![json!(7)],
             out_of_range: Ok(detector(0)),
         },
         Row {
@@ -167,7 +175,7 @@ fn rows() -> Vec<Row> {
             load: load::<VoteRecord>,
             valid: json!({ "bits": 3, "complete": true }),
             truncated: json!({ "bits": 3 }),
-            wrong_typed: json!({ "bits": "3", "complete": true }),
+            wrong_typed: vec![json!({ "bits": "3", "complete": true })],
             out_of_range: Ok(json!({ "bits": 64, "complete": true })),
         },
         Row {
@@ -176,7 +184,7 @@ fn rows() -> Vec<Row> {
             load: load::<ResponseRecord>,
             valid: response(3, json!("full"), 0.01),
             truncated: json!({ "bits": 3, "tier": "full" }),
-            wrong_typed: response(3, json!("turbo"), 0.01),
+            wrong_typed: vec![response(3, json!("turbo"), 0.01)],
             out_of_range: Ok(response(3, json!("full"), -0.01)),
         },
         Row {
@@ -185,7 +193,7 @@ fn rows() -> Vec<Row> {
             load: load::<RejectionRecord>,
             valid: json!({ "reason": "BudgetExhausted" }),
             truncated: json!({}),
-            wrong_typed: json!({ "reason": 7 }),
+            wrong_typed: vec![json!({ "reason": 7 })],
             out_of_range: Err("every reason the enum names is a rejection"),
         },
         Row {
@@ -194,7 +202,7 @@ fn rows() -> Vec<Row> {
             load: load::<SpanRecord>,
             valid: span("run/survey", 2, 5),
             truncated: json!({ "key": "run/survey", "name": "survey", "depth": 1 }),
-            wrong_typed: json!({ "key": "run/survey", "name": "survey", "depth": "deep" }),
+            wrong_typed: vec![json!({ "key": "run/survey", "name": "survey", "depth": "deep" })],
             out_of_range: Ok(span("run/survey", 5, 2)),
         },
     ]
@@ -218,10 +226,8 @@ fn every_kind_rejects_truncated_wrong_typed_and_out_of_range_payloads() {
             );
         }
         let prefix = format!("{} record {}: ", row.kind, row.key);
-        let mut hostile = vec![
-            ("truncated", row.truncated),
-            ("wrong-typed", row.wrong_typed),
-        ];
+        let mut hostile = vec![("truncated", row.truncated)];
+        hostile.extend(row.wrong_typed.into_iter().map(|p| ("wrong-typed", p)));
         match row.out_of_range {
             Ok(payload) => hostile.push(("out-of-range", payload)),
             Err(reason) => assert!(!reason.is_empty()),

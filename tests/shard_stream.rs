@@ -414,8 +414,8 @@ proptest! {
         prop_assert_eq!(shuffled.timed_out_shards(), report.timed_out_shards());
         prop_assert!((shuffled.fraction() - report.fraction()).abs() < 1e-12);
 
-        // rendering rows is 1:1 with shards
-        prop_assert_eq!(report.rows().len(), shards.len());
+        // the artifact projection has one row per shard
+        prop_assert_eq!(report.run_coverage().shards.len(), shards.len());
     }
 
     // merge algebra: the merged dataset is a pure function of the multiset
