@@ -528,11 +528,22 @@ fn save_attempt(
 /// services (the post-merge service is clean — quarantined locations are
 /// excluded from the dataset, never re-fetched). With a `store`, completed
 /// shards and units replay on resume and quarantined locations are **never
-/// re-executed**. Each shard runs under a `shard-{i}` span with one
-/// [`crate::SHARD_WALL_MS_HIST`] sample, the run publishes the shard,
-/// quarantine and outcome counters, the peak and coverage gauges and the
-/// class counts, and watchdog time runs on the bundle's clock: `obs`'s, or
-/// a fresh one the outcome keeps when `obs` is `None`.
+/// re-executed**. Each shard gets a `shard-{i}` span and one
+/// [`crate::SHARD_WALL_MS_HIST`] sample of its own wall time, and the run
+/// publishes the shard, quarantine and outcome counters, the peak and
+/// coverage gauges and the class counts, into `obs`, or a fresh bundle
+/// the outcome keeps when `obs` is `None`.
+///
+/// With at least four shards and more than one worker, the shards run side
+/// by side, one shard per worker at a time, each serial inside; with fewer
+/// they run one after another, each fanning out over its units. Every
+/// output, record, span and virtual millisecond is the same either way and
+/// at any worker count: each shard's watchdog reads its own virtual clock
+/// from zero, and the spans enter and the bundle's clock advances by each
+/// shard's virtual time in shard order once the shards are done. Journal
+/// appends of shards running side by side interleave in the file; replay
+/// is keyed, and every key belongs to one shard. When shards fail, the
+/// first in shard order is the error returned.
 ///
 /// # Errors
 ///
@@ -633,11 +644,16 @@ struct Journaled {
 /// [`crate::run_shard_distributed`] (one shard in its own process).
 /// Validates the config and policy, draws the sample, decodes the store's
 /// journaled fees, quarantine facts and attempt ledger, and builds the
-/// labeler and the pool (counting into `obs`) once; then runs each shard in
-/// `shards` under its `shard-{i}` span with one wall-time sample per shard
-/// and watchdog time on `obs`'s clock, handing it the journaled records of
-/// its own locations. Returns the sample, the passes and every journaled
-/// scene.
+/// labeler and the pool (counting into `obs`) once; then maps the shards
+/// in `shards` over the pool with [`ScopedPool::map_nested`], handing each
+/// the journaled records of its own locations, a virtual clock of its own
+/// starting at zero and the pool its units should fan out on: side by side
+/// and serial inside when the shards fill the workers, one at a time over
+/// the whole pool otherwise. Afterwards, in shard order, it enters each
+/// shard's `shard-{i}` span, advances `obs`'s clock by the shard's virtual
+/// time, records the span with the shard's own wall time and takes one
+/// wall-time sample; the first shard in order that failed is the error.
+/// Returns the sample, the passes and every journaled scene.
 pub(crate) fn drive_shards(
     config: &SurveyConfig,
     plan: ShardPlan,
@@ -678,27 +694,29 @@ pub(crate) fn drive_shards(
         }
     }
 
-    let mut passes = Vec::with_capacity(shards.len());
-    for shard in shards {
+    // The shards run side by side when there are enough to fill the
+    // workers, each serial inside; otherwise one at a time, each fanning
+    // out over its units. Either way a shard's watchdog reads its own
+    // clock from zero, and spans and samples go to `obs` in shard order.
+    let work: Vec<(usize, Journaled)> = shards
+        .map(|shard| (shard, std::mem::take(&mut journaled[shard])))
+        .collect();
+    let runs = pool.map_nested(&work, |(shard, own), pool| {
         let started = Instant::now();
+        let clock = VirtualClock::new();
+        let pass = run_shard_supervised(
+            config, &sample, plan, *shard, policy, poison, &labeler, pool, &clock, store, own,
+        );
+        (pass, clock.now_ms(), started.elapsed())
+    });
+    let mut passes = Vec::with_capacity(runs.len());
+    for ((shard, _), (pass, virtual_ms, wall)) in work.iter().zip(runs) {
         let stage = obs.tracer().enter(&format!("shard-{shard}"));
-        let own = std::mem::take(&mut journaled[shard]);
-        passes.push(run_shard_supervised(
-            config,
-            &sample,
-            plan,
-            shard,
-            policy,
-            poison,
-            &labeler,
-            &pool,
-            obs.clock(),
-            store,
-            own,
-        )?);
-        stage.record();
+        obs.clock().advance_ms(virtual_ms);
+        stage.record_wall(wall);
+        passes.push(pass?);
         obs.registry()
-            .record_wall_hist(SHARD_WALL_MS_HIST, started.elapsed().as_millis() as u64);
+            .record_wall_hist(SHARD_WALL_MS_HIST, wall.as_millis() as u64);
     }
     Ok((sample, passes, paid))
 }
@@ -758,9 +776,9 @@ fn run_shard_supervised(
     poison: Option<PoisonSchedule>,
     labeler: &HumanLabeler,
     pool: &ScopedPool,
-    clock: &Arc<VirtualClock>,
+    clock: &VirtualClock,
     store: Option<&Arc<dyn CheckpointStore>>,
-    journaled: Journaled,
+    journaled: &Journaled,
 ) -> Result<ShardPass> {
     let key = format!("{shard}of{}", plan.shards());
     if let Some(store) = store {
@@ -786,7 +804,7 @@ fn run_shard_supervised(
         service = service.with_poison(schedule);
     }
     if let Some(store) = store {
-        service = service.with_billing_store(Arc::clone(store), journaled.scenes);
+        service = service.with_billing_store(Arc::clone(store), journaled.scenes.clone());
     }
     let planned = service.covered_locations();
     let planned_set: HashSet<LocationId> = planned.iter().copied().collect();
@@ -796,21 +814,22 @@ fn run_shard_supervised(
     // with its recorded cause.
     let mut prior_quarantine: HashMap<LocationId, QuarantineRecord> = HashMap::new();
     let mut ledgered: BTreeMap<LocationId, (u32, QuarantineCause)> = BTreeMap::new();
-    for record in journaled.quarantined {
+    for record in &journaled.quarantined {
         if planned_set.contains(&record.location) {
-            prior_quarantine.insert(record.location, record);
+            prior_quarantine.insert(record.location, record.clone());
         }
     }
-    for record in journaled.attempts {
+    for record in &journaled.attempts {
         if planned_set.contains(&record.location)
             && !prior_quarantine.contains_key(&record.location)
         {
-            ledgered.insert(record.location, (record.attempts, record.cause));
+            ledgered.insert(record.location, (record.attempts, record.cause.clone()));
         }
     }
 
-    // The deadline is relative to shard entry on the shared virtual clock,
-    // so watchdog decisions are invariant across resume and replay.
+    // The deadline is relative to shard entry on the shard's own virtual
+    // clock, so watchdog decisions are invariant across resume, replay and
+    // the shards running beside this one.
     let deadline = policy
         .shard_deadline_ms
         .map(|ms| clock.now_ms().saturating_add(ms));

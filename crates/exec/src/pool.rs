@@ -94,7 +94,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    match try_par_map_chunked(workers, chunk, items, f, None) {
+    match try_par_map_chunked(workers, chunk, items, f, None, true) {
         Ok(out) => out,
         Err(panicked) => panic!("exec {panicked}"),
     }
@@ -104,13 +104,15 @@ where
 /// map cleanly with [`TaskPanicked`] naming the input index, instead of
 /// unwinding through the pool. Workers stop claiming chunks as soon as a
 /// panic is observed; already-claimed chunks finish normally. Records
-/// into `registry` when one is attached.
+/// into `registry` when one is attached; the items count as tasks only
+/// when `tasks` is set.
 fn try_par_map_chunked<T, R, F>(
     workers: usize,
     chunk: usize,
     items: &[T],
     f: F,
     registry: Option<&MetricsRegistry>,
+    tasks: bool,
 ) -> Result<Vec<R>, TaskPanicked>
 where
     T: Sync,
@@ -122,7 +124,7 @@ where
     let n_chunks = n.div_ceil(chunk);
     let workers = workers.max(1).min(n_chunks.max(1));
     if workers <= 1 || n == 0 {
-        stats::record_serial(n, registry);
+        stats::record_serial(if tasks { n } else { 0 }, registry);
         let mut out = Vec::with_capacity(n);
         for (i, item) in items.iter().enumerate() {
             out.push(run_item(&f, i, item)?);
@@ -204,6 +206,7 @@ where
     }
     stats::record_parallel(
         n as u64,
+        tasks,
         chunk as u64,
         n_chunks as u64,
         steals,
@@ -277,7 +280,50 @@ impl ScopedPool {
             return items.iter().map(f).collect();
         }
         let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-        match try_par_map_chunked(workers, chunk, items, |_, item| f(item), registry) {
+        match try_par_map_chunked(workers, chunk, items, |_, item| f(item), registry, true) {
+            Ok(out) => out,
+            Err(panicked) => panic!("exec {panicked}"),
+        }
+    }
+
+    /// A two-level ordered map: maps `f(item, inner)` over `items`, where
+    /// `inner` is the pool `f`'s own maps should use. The outer items go to
+    /// the workers under the rule [`ScopedPool::map`] uses. When they do,
+    /// `inner` is a serial handle on the same registry, so each worker runs
+    /// its items' inner maps on its own thread; when the outer level runs
+    /// on the caller (one worker, or too few items), `inner` is this pool
+    /// and the inner maps fan out as usual. Either way the output equals
+    /// `items.iter().map(|item| f(item, self)).collect()`, bit for bit.
+    ///
+    /// The outer level records its parallel call, chunks, steals and busy
+    /// time but counts no task, so the registry's task count is the inner
+    /// maps' items at any worker count.
+    ///
+    /// ```
+    /// use nbhd_exec::{Parallelism, ScopedPool};
+    /// let pool = ScopedPool::new(Parallelism::fixed(2));
+    /// let rows = [vec![1, 2], vec![3], vec![4, 5], vec![6]];
+    /// let sums = pool.map_nested(&rows, |row, inner| inner.map(row, |&x: &i32| x).iter().sum::<i32>());
+    /// assert_eq!(sums, vec![3, 3, 9, 6]);
+    /// ```
+    pub fn map_nested<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T, &ScopedPool) -> R + Sync,
+    {
+        let n = items.len();
+        let workers = self.parallelism.workers_for(n);
+        if workers <= 1 || n < MIN_PARALLEL_ITEMS {
+            return items.iter().map(|item| f(item, self)).collect();
+        }
+        let inner = ScopedPool {
+            parallelism: Parallelism::serial(),
+            metrics: self.metrics.clone(),
+        };
+        let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
+        let outer = |_, item: &T| f(item, &inner);
+        match try_par_map_chunked(workers, chunk, items, outer, self.metrics.as_deref(), false) {
             Ok(out) => out,
             Err(panicked) => panic!("exec {panicked}"),
         }
@@ -344,7 +390,7 @@ mod tests {
         items: &[T],
         f: impl Fn(&T) -> R + Sync,
     ) -> Result<Vec<R>, TaskPanicked> {
-        try_par_map_chunked(workers, chunk, items, |_, item| f(item), None)
+        try_par_map_chunked(workers, chunk, items, |_, item| f(item), None, true)
     }
 
     #[test]
@@ -473,6 +519,80 @@ mod tests {
             count_tasks(Parallelism::serial()),
             count_tasks(Parallelism::fixed(4))
         );
+    }
+
+    /// Rows of uneven length: the nested maps' inputs.
+    fn rows() -> Vec<Vec<u64>> {
+        (0..11u64).map(|i| (0..(i * 7) % 23).collect()).collect()
+    }
+
+    #[test]
+    fn map_nested_equals_a_plain_map_at_every_worker_count() {
+        let rows = rows();
+        let cell = |&x: &u64| x.wrapping_mul(x) ^ 0x5a;
+        let plain: Vec<Vec<u64>> = rows
+            .iter()
+            .map(|row| row.iter().map(cell).collect())
+            .collect();
+        for workers in 1..=8 {
+            let pool = ScopedPool::new(Parallelism::fixed(workers));
+            let nested = pool.map_nested(&rows, |row, inner| inner.map(row, cell));
+            assert_eq!(nested, plain, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn map_nested_inner_pool_is_serial_exactly_when_the_outer_level_went_parallel() {
+        for (workers, items) in [(1, 8), (2, 8), (4, 8), (8, 3), (4, 4), (2, 1)] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let pool =
+                ScopedPool::new(Parallelism::fixed(workers)).with_metrics(Arc::clone(&registry));
+            let inner = pool.map_nested(&vec![(); items], |_, inner| inner.parallelism());
+            let snapshot = crate::ExecSnapshot::from_metrics(&registry.snapshot());
+            let parallel = snapshot.parallel_calls == 1;
+            let case = format!("{workers} workers, {items} items");
+            assert_eq!(
+                parallel,
+                workers > 1 && items >= MIN_PARALLEL_ITEMS,
+                "{case}"
+            );
+            let want = if parallel {
+                Parallelism::serial()
+            } else {
+                pool.parallelism()
+            };
+            assert!(inner.iter().all(|&p| p == want), "{case}");
+            assert_eq!(snapshot.tasks, 0, "{case}: the outer level counts no task");
+        }
+    }
+
+    #[test]
+    fn map_nested_counts_only_inner_tasks_at_every_worker_count() {
+        let rows = rows();
+        let inner_items: usize = rows.iter().map(Vec::len).sum();
+        for workers in 1..=8 {
+            let registry = Arc::new(MetricsRegistry::new());
+            let pool =
+                ScopedPool::new(Parallelism::fixed(workers)).with_metrics(Arc::clone(&registry));
+            let _ = pool.map_nested(&rows, |row, inner| inner.map(row, |&x| x + 1));
+            let snapshot = crate::ExecSnapshot::from_metrics(&registry.snapshot());
+            assert_eq!(snapshot.tasks, inner_items as u64, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn map_nested_repanics_with_task_context() {
+        let items: Vec<u32> = (0..40).collect();
+        let caught = std::panic::catch_unwind(|| {
+            ScopedPool::new(Parallelism::fixed(4)).map_nested(&items, |&x, _| {
+                assert!(x != 5, "boom at five");
+                x
+            })
+        })
+        .unwrap_err();
+        let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(message.contains("task 5"), "got: {message}");
+        assert!(message.contains("boom at five"), "got: {message}");
     }
 
     #[test]

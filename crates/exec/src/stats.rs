@@ -83,8 +83,11 @@ pub(crate) fn record_serial(tasks: usize, registry: Option<&MetricsRegistry>) {
     }
 }
 
+/// Records one parallel region over `items` items, which count as tasks
+/// only when `tasks` is set (the outer level of a nested map counts none).
 pub(crate) fn record_parallel(
-    tasks: u64,
+    items: u64,
+    tasks: bool,
     chunk: u64,
     chunks: u64,
     steals: u64,
@@ -92,15 +95,17 @@ pub(crate) fn record_parallel(
     registry: Option<&MetricsRegistry>,
 ) {
     if let Some(registry) = registry {
-        registry.add(TASKS_METRIC, tasks);
+        if tasks {
+            registry.add(TASKS_METRIC, items);
+        }
         registry.add_wall(PARALLEL_CALLS_METRIC, 1);
         registry.add_wall(CHUNKS_METRIC, chunks);
         registry.add_wall(STEALS_METRIC, steals);
         registry.add_wall(BUSY_US_METRIC, busy.as_micros() as u64);
-        // chunk-size distribution: `tasks / chunk` full chunks plus one
+        // chunk-size distribution: `items / chunk` full chunks plus one
         // ragged tail when the chunk size does not divide the input
-        if let Some(full) = tasks.checked_div(chunk) {
-            let tail = tasks % chunk;
+        if let Some(full) = items.checked_div(chunk) {
+            let tail = items % chunk;
             if full > 0 {
                 registry.record_wall_hist_n(CHUNK_ITEMS_HIST, chunk, full);
             }
@@ -121,7 +126,15 @@ mod tests {
         // matter what other tests in the process are doing
         let registry = MetricsRegistry::new();
         record_serial(5, Some(&registry));
-        record_parallel(10, 3, 4, 1, Duration::from_micros(250), Some(&registry));
+        record_parallel(
+            10,
+            true,
+            3,
+            4,
+            1,
+            Duration::from_micros(250),
+            Some(&registry),
+        );
         let snapshot = ExecSnapshot::from_metrics(&registry.snapshot());
         assert_eq!(snapshot.tasks, 15);
         assert_eq!(snapshot.serial_calls, 1);
@@ -134,7 +147,7 @@ mod tests {
     #[test]
     fn task_counts_are_deterministic_metrics_the_rest_are_wall() {
         let registry = MetricsRegistry::new();
-        record_parallel(8, 4, 2, 1, Duration::from_micros(99), Some(&registry));
+        record_parallel(8, true, 4, 2, 1, Duration::from_micros(99), Some(&registry));
         let metrics = registry.snapshot();
         assert_eq!(metrics.counters.get(TASKS_METRIC), Some(&8));
         assert!(!metrics.counters.contains_key(STEALS_METRIC));
@@ -146,7 +159,7 @@ mod tests {
     fn chunk_sizes_land_in_the_wall_histogram() {
         let registry = MetricsRegistry::new();
         // 10 tasks in chunks of 3: three full chunks plus a tail of 1
-        record_parallel(10, 3, 4, 0, Duration::ZERO, Some(&registry));
+        record_parallel(10, true, 3, 4, 0, Duration::ZERO, Some(&registry));
         let metrics = registry.snapshot();
         assert!(
             !metrics.histograms.contains_key(CHUNK_ITEMS_HIST),
@@ -163,6 +176,6 @@ mod tests {
     #[test]
     fn recording_without_a_registry_is_a_no_op() {
         record_serial(5, None);
-        record_parallel(10, 3, 4, 1, Duration::from_micros(250), None);
+        record_parallel(10, true, 3, 4, 1, Duration::from_micros(250), None);
     }
 }

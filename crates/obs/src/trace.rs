@@ -19,7 +19,7 @@
 //! writes the same span key twice.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use nbhd_journal::{CheckpointStore, Replayable};
 use parking_lot::Mutex;
@@ -219,10 +219,17 @@ impl Stage<'_> {
 
     /// Closes the span, recording virtual and wall durations.
     pub fn record(mut self) {
-        self.close();
+        self.close(None);
     }
 
-    fn close(&mut self) {
+    /// Closes the span with `wall` as its wall-clock duration: for a stage
+    /// whose work ran off the orchestrating thread and measured its own
+    /// wall time, entered and closed afterwards in a deterministic order.
+    pub fn record_wall(mut self, wall: Duration) {
+        self.close(Some(wall));
+    }
+
+    fn close(&mut self, wall: Option<Duration>) {
         if self.recorded {
             return;
         }
@@ -234,7 +241,7 @@ impl Stage<'_> {
             seq: self.seq,
             start_vms: self.start_vms,
             end_vms: self.tracer.clock.now_ms(),
-            wall_us: self.started.elapsed().as_micros() as u64,
+            wall_us: wall.unwrap_or_else(|| self.started.elapsed()).as_micros() as u64,
         };
         self.tracer.finish(span);
     }
@@ -242,7 +249,7 @@ impl Stage<'_> {
 
 impl Drop for Stage<'_> {
     fn drop(&mut self) {
-        self.close();
+        self.close(None);
     }
 }
 
@@ -287,6 +294,17 @@ mod tests {
         let spans = tracer.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].end_vms, 3);
+    }
+
+    #[test]
+    fn record_wall_keeps_virtual_time_and_takes_the_given_wall_time() {
+        let (clock, tracer) = tracer();
+        let stage = tracer.enter("shard-0");
+        clock.advance_ms(12);
+        stage.record_wall(Duration::from_micros(4_321));
+        let spans = tracer.spans();
+        assert_eq!((spans[0].start_vms, spans[0].end_vms), (0, 12));
+        assert_eq!(spans[0].wall_us, 4_321);
     }
 
     #[test]

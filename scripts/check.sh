@@ -157,6 +157,9 @@ shard_gate clean 2
 "$BIN/shard_run" report --out "$OUT/clean-report.html" "$OUT/clean-merged.json" >/dev/null
 grep -q '</html>' "$OUT/clean-report.html"
 shard_gate poisoned 4 --poison-panic 0.1 --poison-corrupt 0.1
+# survey_sharded's shape: eight shards, which the in-process run at four
+# workers runs side by side
+shard_gate poisoned8 8 --poison-panic 0.1 --poison-corrupt 0.1
 
 echo "==> $PASSED workspace tests passed, 2 skipped by name"
 echo "==> rust lines in crates/ src/ tests/ examples/:" \

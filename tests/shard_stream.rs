@@ -159,7 +159,30 @@ fn supervised_kill_resume_replays_quarantine_at_every_record() {
         locations: 12,
         ..SurveyConfig::smoke(74)
     };
-    let plan = ShardPlan::new(2).unwrap();
+    kill_resume_at_every_record("nbhd-supervise", config, 2, false);
+}
+
+#[test]
+fn side_by_side_shards_kill_resume_replays_quarantine_at_every_record() {
+    // eight shards on four workers run side by side, so their records
+    // interleave in the journal in a schedule-dependent order: the same
+    // kill/resume guarantees hold, with the quarantine records compared by
+    // key
+    let config = SurveyConfig {
+        locations: 12,
+        parallelism: Parallelism::fixed(4),
+        ..SurveyConfig::smoke(74)
+    };
+    kill_resume_at_every_record("nbhd-supervise-8", config, 8, true);
+}
+
+/// Kills a journaled, poisoned supervised run of `config` over `shards`
+/// shards after every record in turn, resumes it, and checks the resumed
+/// run against an uninterrupted one. With `by_key`, quarantine records are
+/// compared in key order instead of journal order. Scratch journals live
+/// under the temp directory, named from `prefix`.
+fn kill_resume_at_every_record(prefix: &str, config: SurveyConfig, shards: usize, by_key: bool) {
+    let plan = ShardPlan::new(shards).unwrap();
     let poison = PoisonSchedule::new(config.seed)
         .with_panic_rate(0.3)
         .with_corrupt_rate(0.2);
@@ -167,7 +190,7 @@ fn supervised_kill_resume_replays_quarantine_at_every_record() {
     let manifest = RunManifest::for_config("supervised-stream", &config).unwrap();
 
     // the uninterrupted journaled run is the reference
-    let ref_dir = std::env::temp_dir().join("nbhd-supervise-ref");
+    let ref_dir = std::env::temp_dir().join(format!("{prefix}-ref"));
     let _ = fs::remove_dir_all(&ref_dir);
     let journal = Journal::create(&ref_dir, &manifest).unwrap();
     let fresh = run_supervised(
@@ -182,11 +205,16 @@ fn supervised_kill_resume_replays_quarantine_at_every_record() {
     let ref_scan = nbhd_journal::scan_file(&journal_path(&ref_dir)).unwrap();
     let total = ref_scan.records.len() as u64;
     let quarantine_journal = |scan: &nbhd_journal::JournalScan| -> Vec<(String, String)> {
-        scan.records
+        let mut records: Vec<(String, String)> = scan
+            .records
             .iter()
             .filter(|r| r.kind == QUARANTINE_RECORD_KIND)
             .map(|r| (r.key.clone(), r.payload.to_string()))
-            .collect()
+            .collect();
+        if by_key {
+            records.sort();
+        }
+        records
     };
     let ref_quarantine = quarantine_journal(&ref_scan);
     let report = fresh.survey().coverage();
@@ -211,7 +239,7 @@ fn supervised_kill_resume_replays_quarantine_at_every_record() {
     fs::remove_dir_all(&ref_dir).unwrap();
 
     for after in 0..total {
-        let dir = std::env::temp_dir().join(format!("nbhd-supervise-kill-{after}"));
+        let dir = std::env::temp_dir().join(format!("{prefix}-kill-{after}"));
         let _ = fs::remove_dir_all(&dir);
         let journal = Journal::create(&dir, &manifest)
             .unwrap()
