@@ -273,17 +273,12 @@ impl ScopedPool {
         F: Fn(&T) -> R + Sync,
     {
         let n = items.len();
-        let registry = self.metrics.as_deref();
         let workers = self.parallelism.workers_for(n);
         if workers <= 1 || n < MIN_PARALLEL_ITEMS {
-            stats::record_serial(n, registry);
+            stats::record_serial(n, self.metrics.as_deref());
             return items.iter().map(f).collect();
         }
-        let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-        match try_par_map_chunked(workers, chunk, items, |_, item| f(item), registry, true) {
-            Ok(out) => out,
-            Err(panicked) => panic!("exec {panicked}"),
-        }
+        self.fan_out(workers, items, |_, item| f(item), true)
     }
 
     /// A two-level ordered map: maps `f(item, inner)` over `items`, where
@@ -303,8 +298,10 @@ impl ScopedPool {
     /// use nbhd_exec::{Parallelism, ScopedPool};
     /// let pool = ScopedPool::new(Parallelism::fixed(2));
     /// let rows = [vec![1, 2], vec![3], vec![4, 5], vec![6]];
-    /// let sums = pool.map_nested(&rows, |row, inner| inner.map(row, |&x: &i32| x).iter().sum::<i32>());
-    /// assert_eq!(sums, vec![3, 3, 9, 6]);
+    /// let sums = pool.map_nested(&rows, |row, inner| {
+    ///     inner.map(row, |&x: &i32| x * 10).iter().sum::<i32>()
+    /// });
+    /// assert_eq!(sums, vec![30, 30, 90, 60]);
     /// ```
     pub fn map_nested<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
@@ -321,9 +318,20 @@ impl ScopedPool {
             parallelism: Parallelism::serial(),
             metrics: self.metrics.clone(),
         };
-        let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-        let outer = |_, item: &T| f(item, &inner);
-        match try_par_map_chunked(workers, chunk, items, outer, self.metrics.as_deref(), false) {
+        self.fan_out(workers, items, |_, item| f(item, &inner), false)
+    }
+
+    /// Maps `f` over `items` on `workers` threads in chunks of about a
+    /// quarter of a worker's share, re-panicking with the task's context;
+    /// the items count as tasks when `tasks` is set.
+    fn fan_out<T, R, F>(&self, workers: usize, items: &[T], f: F, tasks: bool) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        let chunk = items.len().div_ceil(workers * CHUNKS_PER_WORKER).max(1);
+        match try_par_map_chunked(workers, chunk, items, f, self.metrics.as_deref(), tasks) {
             Ok(out) => out,
             Err(panicked) => panic!("exec {panicked}"),
         }
