@@ -1,11 +1,11 @@
 //! The streaming sharded data path: generate → capture → label, one shard
-//! of the survey at a time.
+//! of the survey per worker at a time.
 //!
 //! [`crate::run_supervised`] never registers more than one shard's points
-//! at once: each shard gets its own [`StreetViewService`] registered over
-//! just that shard's points, the shard is captured and labeled, its
-//! annotations are folded out, and the service (with its cache of billed
-//! scene keys) is dropped before the next shard loads. No service keeps
+//! per worker at once: each shard gets its own [`StreetViewService`]
+//! registered over just that shard's points, the shard is captured and
+//! labeled, its annotations are folded out, and the service (with its
+//! cache of billed scene keys) is dropped when the shard ends. No service keeps
 //! pixels, and a capture paints none: it labels the scene for its unit to
 //! annotate, and a later pixel fetch renders the scene. On clean data the
 //! merged [`crate::SurveyDataset`] is **byte-identical** at any shard count

@@ -694,10 +694,6 @@ pub(crate) fn drive_shards(
         }
     }
 
-    // The shards run side by side when there are enough to fill the
-    // workers, each serial inside; otherwise one at a time, each fanning
-    // out over its units. Either way a shard's watchdog reads its own
-    // clock from zero, and spans and samples go to `obs` in shard order.
     let work: Vec<(usize, Journaled)> = shards
         .map(|shard| (shard, std::mem::take(&mut journaled[shard])))
         .collect();
@@ -765,7 +761,9 @@ pub(crate) fn publish(
 
 /// One supervised shard pass: the shard's merged-in annotations, its
 /// service's scene high-water mark, freshly billed scenes, and its coverage
-/// facts. `journaled` holds the journal's records of the shard's locations.
+/// facts. `journaled` holds the journal's records of the shard's locations,
+/// `clock` is the shard's own, at zero on entry, and `pool` is the pool its
+/// units fan out on.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_supervised(
     config: &SurveyConfig,
@@ -827,12 +825,10 @@ fn run_shard_supervised(
         }
     }
 
-    // The deadline is relative to shard entry on the shard's own virtual
-    // clock, so watchdog decisions are invariant across resume, replay and
-    // the shards running beside this one.
-    let deadline = policy
-        .shard_deadline_ms
-        .map(|ms| clock.now_ms().saturating_add(ms));
+    // The shard's own virtual clock starts at zero on entry, so watchdog
+    // decisions are invariant across resume, replay and the shards running
+    // beside this one.
+    let deadline = policy.shard_deadline_ms;
     let expired =
         |timed_out: bool| -> bool { timed_out || deadline.is_some_and(|d| clock.now_ms() >= d) };
 
