@@ -4,9 +4,10 @@
 //! deterministic text. A second case sets a shard deadline so the watchdog
 //! demotes at least one shard.
 //!
-//! Eight shards fill every worker count, so this pins the side-by-side
-//! shard path; any change to a supervision decision, a record, a span's
-//! virtual time or a deterministic counter moves the hashes.
+//! At 2 and 4 workers eight shards run side by side, and at 1 worker one
+//! after another, so one hash pins both paths; any change to a supervision
+//! decision, a record, a span's virtual time or a deterministic counter
+//! moves it.
 
 use std::sync::Arc;
 
